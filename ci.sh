@@ -14,6 +14,13 @@ echo "== tier-1 verify: release build + tests =="
 cargo build --release --offline
 cargo test -q --offline
 
+echo "== benchmark package: build + tests =="
+# perfbench is a cargo package of its own (empty [workspace]), so the
+# workspace build above does not compile it. It copies CohEvent by value
+# and implements CohContext: an API change that breaks it must fail
+# here, not when the benchmark is next run.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== strict invariant checking =="
 cargo test -q --offline --workspace --features lease-release/strict-invariants
 

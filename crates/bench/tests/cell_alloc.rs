@@ -2,11 +2,13 @@
 //! construction, setup, a *contended* 2-thread run, and row extraction.
 //! The machine-level zero_alloc test covers the single-worker fast
 //! path; this one adds the contention machinery — directory waiter
-//! queues (pooled `LineChannel`s in the coherence engine) and paged
-//! `SimMemory` — by comparing the process-wide allocation count of a
-//! short cell against one 8x longer. The extra operations must add
-//! exactly zero allocations: every per-op structure the directory or
-//! memory system touches has to come from a pool, not the heap.
+//! queues (pooled `LineChannel`s in the coherence engine), sharer rows
+//! (recycled through each home tile's free list as the line cycles
+//! Shared ↔ Modified) and paged `SimMemory` — by comparing the
+//! process-wide allocation count of a short cell against one 8x longer.
+//! The extra operations must add exactly zero allocations: every per-op
+//! structure the directory or memory system touches has to come from a
+//! pool, not the heap.
 //!
 //! The row is built with fixed metric values (`BenchRow::host_only`)
 //! rather than `from_stats`: formatting real counters into the stats
@@ -44,8 +46,10 @@ unsafe impl GlobalAlloc for Counting {
 static A: Counting = Counting;
 
 /// One fixed-shape sweep cell: two workers hammering a single shared
-/// line with FAA (maximal directory-queue churn), then a fixed-value
-/// row. Returns the allocations the whole cell performed.
+/// line with read-then-FAA (maximal directory-queue churn; each read
+/// turns the other core's Modified copy into a Shared pair, each FAA
+/// invalidates it again), then a fixed-value row. Returns the
+/// allocations the whole cell performed.
 fn cell_allocs(ops: u64) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
     let mut m = Machine::new(SystemConfig::with_cores(2));
@@ -54,6 +58,7 @@ fn cell_allocs(ops: u64) -> u64 {
         .map(|_| {
             Box::new(move |ctx: &mut ThreadCtx| {
                 for _ in 0..ops {
+                    ctx.read(shared);
                     ctx.faa(shared, 1);
                     ctx.count_op();
                 }

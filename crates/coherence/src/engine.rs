@@ -43,7 +43,10 @@
 //! previous transaction provably lands first (see `owner_downgrade`).
 //! Stale victim messages are detected and dropped on arrival.
 
-use crate::{AccessKind, CohContext, CohEvent, DirState, L1State, ProbeAction, Xact};
+use crate::dir::{DirEntry, SharerRows};
+use crate::{
+    AccessKind, CohContext, CohEvent, CoreSet, DirState, Downgrade, L1State, ProbeAction, Xact,
+};
 use lr_sim_cache::{Inserted, SetAssocCache};
 use lr_sim_core::trace::{TraceAccess, TraceEvent};
 use lr_sim_core::{CoreId, CoreStats, Cycle, LineAddr, MachineStats, SystemConfig};
@@ -87,9 +90,10 @@ struct LineChannel {
 }
 
 /// Mutable state owned by one tile: its per-line directory channels,
-/// its stalled-probe table, and its transaction bookkeeping. Handlers
-/// executing at the tile are the only code that touches it.
-#[derive(Debug, Default)]
+/// its sharer rows, its stalled-probe table, and its transaction
+/// bookkeeping. Handlers executing at the tile are the only code that
+/// touches it.
+#[derive(Debug)]
 struct TileState {
     /// Per-line FIFO request channels of this tile's directory slice
     /// (Assumption 1 of the paper).
@@ -102,6 +106,8 @@ struct TileState {
     /// directory path allocation-free (audited by `lr-bench`'s
     /// `cell_alloc` counting-allocator test).
     free_channels: Vec<LineChannel>,
+    /// Sharer bitmaps of this tile's Shared directory entries.
+    rows: SharerRows,
     /// Probes stalled behind leases held by this tile's core.
     stalled: HashMap<LineAddr, PendingProbe>,
     /// Per-core issue counter for transaction ids.
@@ -110,16 +116,30 @@ struct TileState {
     outstanding: u64,
 }
 
+impl TileState {
+    fn new(num_cores: usize) -> Self {
+        TileState {
+            channels: HashMap::new(),
+            free_channels: Vec::new(),
+            rows: SharerRows::new(num_cores),
+            stalled: HashMap::new(),
+            xact_ctr: 0,
+            outstanding: 0,
+        }
+    }
+}
+
 /// The directory-based MSI coherence engine for all tiles.
 pub struct CoherenceEngine {
     cfg: SystemConfig,
     mesh: Mesh,
     /// Private L1 per core: resident lines and their M/S state.
     l1: Vec<SetAssocCache<L1State>>,
-    /// Shared L2 slice per tile: resident lines and their directory entry.
-    /// A line's L2 entry is pinned while its channel is active, so the
-    /// slice never evicts a line with an in-flight transaction.
-    l2: Vec<SetAssocCache<DirState>>,
+    /// Shared L2 slice per tile: resident lines and their directory entry
+    /// (a Shared entry names a row of the tile's `rows`). A line's L2
+    /// entry is pinned while its channel is active, so the slice never
+    /// evicts a line with an in-flight transaction.
+    l2: Vec<SetAssocCache<DirEntry>>,
     /// Per-tile mutable protocol state.
     tiles: Vec<TileState>,
     /// Per-tile machine-level counters (`cores` left empty; merged by
@@ -155,9 +175,10 @@ impl CoherenceEngine {
     /// Build the engine for `cfg.num_cores` tiles.
     pub fn new(cfg: &SystemConfig) -> Self {
         assert!(
-            cfg.num_cores >= 1 && cfg.num_cores <= crate::CoreSet::CAPACITY,
-            "sharer sets support up to {} cores",
-            crate::CoreSet::CAPACITY
+            cfg.num_cores >= 1 && cfg.num_cores <= lr_sim_core::MAX_CORES,
+            "the directory supports 1 to {} cores, not {}",
+            lr_sim_core::MAX_CORES,
+            cfg.num_cores
         );
         let l1 = (0..cfg.num_cores)
             .map(|_| SetAssocCache::new(cfg.l1_sets(), cfg.l1_ways))
@@ -169,7 +190,9 @@ impl CoherenceEngine {
             mesh: Mesh::new(cfg),
             l1,
             l2,
-            tiles: (0..cfg.num_cores).map(|_| TileState::default()).collect(),
+            tiles: (0..cfg.num_cores)
+                .map(|_| TileState::new(cfg.num_cores))
+                .collect(),
             tile_stats: (0..cfg.num_cores).map(|_| MachineStats::new(0)).collect(),
             core_stats: vec![CoreStats::default(); cfg.num_cores],
             strict_at: true,
@@ -253,12 +276,12 @@ impl CoherenceEngine {
         &mut self.l1[c.idx()]
     }
 
-    fn l2_at(&self, h: CoreId) -> &SetAssocCache<DirState> {
+    fn l2_at(&self, h: CoreId) -> &SetAssocCache<DirEntry> {
         self.assert_tile(h);
         &self.l2[h.idx()]
     }
 
-    fn l2_mut(&mut self, h: CoreId) -> &mut SetAssocCache<DirState> {
+    fn l2_mut(&mut self, h: CoreId) -> &mut SetAssocCache<DirEntry> {
         self.assert_tile(h);
         &mut self.l2[h.idx()]
     }
@@ -313,7 +336,17 @@ impl CoherenceEngine {
 
     /// Current directory state of `line` (None = not resident in L2).
     pub fn dir_state(&self, line: LineAddr) -> Option<DirState> {
-        self.l2[self.home_of(line).idx()].peek(line).copied()
+        let home = self.home_of(line).idx();
+        Some(match *self.l2[home].peek(line)? {
+            DirEntry::Uncached => DirState::Uncached,
+            DirEntry::Modified(o) => DirState::Modified(o),
+            DirEntry::Shared(r) => DirState::Shared(
+                self.tiles[home]
+                    .rows
+                    .members(r)
+                    .fold(CoreSet::EMPTY, CoreSet::with),
+            ),
+        })
     }
 
     /// Pin or unpin `line` in `core`'s L1 (lease layer: leased lines are
@@ -491,7 +524,7 @@ impl CoherenceEngine {
             CohEvent::GrantArrive(x) => self.grant_arrive(now, x, ctx),
             CohEvent::DirUnlock(line) => self.dir_unlock(now, line, ctx),
             CohEvent::InvArrive { line } => self.inv_arrive(at, line),
-            CohEvent::DirUpdate { line, dir } => self.dir_update(now, line, dir),
+            CohEvent::DirUpdate { line, outcome } => self.dir_update(now, line, outcome),
             CohEvent::Writeback { line, from } => self.writeback_arrive(line, from),
             CohEvent::SharerDrop { line, from } => self.sharer_drop(line, from),
             CohEvent::BackInval { line } => self.back_inval(now, at, line, ctx),
@@ -630,41 +663,44 @@ impl CoherenceEngine {
 
         let dir = *self.l2_at(home).peek(line).unwrap();
         match dir {
-            DirState::Uncached => self.grant_from_home(now, t, x, ctx),
-            DirState::Shared(mask) => {
-                if !kind.needs_exclusive() {
-                    self.grant_from_home(now, t, x, ctx)
-                } else {
-                    // Invalidate all other sharers; acks go to the
-                    // requester. Each sharer drops its copy when the
-                    // invalidation *arrives* at its tile; every arrival
-                    // is strictly before the grant below, since the
-                    // grant waits out max(to_s + ack) ≥ to_s + 1.
-                    let others = mask.without(core);
-                    let mut inv_lat = 0;
-                    for s in others.iter() {
-                        let to_s = self.msg(home, s, MsgClass::Control);
-                        let ack = self.msg(s, core, MsgClass::Control);
-                        inv_lat = inv_lat.max(to_s + ack);
-                        ctx.schedule(to_s, s, CohEvent::InvArrive { line });
-                        self.cur_stats().invalidations += 1;
+            DirEntry::Uncached => self.grant_from_home(now, t, x, ctx),
+            DirEntry::Shared(_) if !kind.needs_exclusive() => self.grant_from_home(now, t, x, ctx),
+            DirEntry::Shared(row) => {
+                // Invalidate all other sharers, in ascending core order;
+                // acks go to the requester. Each sharer drops its copy
+                // when the invalidation *arrives* at its tile; every
+                // arrival is strictly before the grant below, since the
+                // grant waits out max(to_s + ack) ≥ to_s + 1.
+                let mut inv_lat = 0;
+                let mut next = 0;
+                while let Some(s) = self.tile_at(home).rows.next_member(row, next) {
+                    next = s.idx() + 1;
+                    if s == core {
+                        continue;
                     }
-                    let upgrade = mask.contains(core);
-                    let data_lat = if upgrade {
-                        // Permission-only grant.
-                        self.msg(home, core, MsgClass::Control)
-                    } else {
-                        self.cfg.l2_data_latency + self.msg(home, core, MsgClass::Data)
-                    };
-                    *self.l2_mut(home).peek_mut(line).unwrap() = DirState::Modified(core);
-                    ctx.schedule(
-                        t - now + data_lat.max(inv_lat),
-                        core,
-                        CohEvent::GrantArrive(x),
-                    );
+                    let to_s = self.msg(home, s, MsgClass::Control);
+                    let ack = self.msg(s, core, MsgClass::Control);
+                    inv_lat = inv_lat.max(to_s + ack);
+                    ctx.schedule(to_s, s, CohEvent::InvArrive { line });
+                    self.cur_stats().invalidations += 1;
                 }
+                let rows = &mut self.tile_mut(home).rows;
+                let upgrade = rows.contains(row, core);
+                rows.free(row);
+                let data_lat = if upgrade {
+                    // Permission-only grant.
+                    self.msg(home, core, MsgClass::Control)
+                } else {
+                    self.cfg.l2_data_latency + self.msg(home, core, MsgClass::Data)
+                };
+                *self.l2_mut(home).peek_mut(line).unwrap() = DirEntry::Modified(core);
+                ctx.schedule(
+                    t - now + data_lat.max(inv_lat),
+                    core,
+                    CohEvent::GrantArrive(x),
+                );
             }
-            DirState::Modified(o) if o == core => {
+            DirEntry::Modified(o) if o == core => {
                 // The requester is the directory's owner of record, yet
                 // it missed in L1 — hits never reach the directory, so
                 // its copy is gone: an eviction whose writeback is still
@@ -675,7 +711,7 @@ impl CoherenceEngine {
                 // re-fetch must land as Shared, not stay Modified).
                 self.grant_from_home(now, t, x, ctx);
             }
-            DirState::Modified(o) => {
+            DirEntry::Modified(o) => {
                 let lat = self.msg(home, o, MsgClass::Control);
                 ctx.schedule(t - now + lat, o, CohEvent::ProbeArrive(x, o));
             }
@@ -695,28 +731,32 @@ impl CoherenceEngine {
         } = x;
         let home = self.home_of(line);
         let mesi = self.cfg.protocol == lr_sim_core::CoherenceProtocol::Mesi;
-        if self.l2_at(home).peek(line).is_none() {
+        let Some(&dir) = self.l2_at(home).peek(line) else {
             protocol_bug!(
                 now,
                 "granting {line} to {core} but the line is not resident in its home slice \
                  {home} (L2 pin lost mid-transaction?)"
             );
-        }
-        let dir = self.l2_mut(home).peek_mut(line).unwrap();
-        *dir = if kind.needs_exclusive() {
-            DirState::Modified(core)
+        };
+        let rows = &mut self.tile_mut(home).rows;
+        let new_dir = if kind.needs_exclusive() {
+            DirEntry::Modified(core)
         } else {
-            match *dir {
-                DirState::Shared(mask) => DirState::Shared(mask.with(core)),
+            match dir {
+                DirEntry::Shared(r) => {
+                    rows.insert(r, core);
+                    dir
+                }
                 // MESI: a sole reader of an uncached line gets Exclusive;
                 // the directory tracks it like any exclusive owner.
                 _ if mesi => {
                     x.grant_exclusive = true;
-                    DirState::Modified(core)
+                    DirEntry::Modified(core)
                 }
-                _ => DirState::Shared(crate::CoreSet::only(core)),
+                _ => DirEntry::Shared(rows.alloc(core)),
             }
         };
+        *self.l2_mut(home).peek_mut(line).unwrap() = new_dir;
         let lat = self.cfg.l2_data_latency + self.msg(home, core, MsgClass::Data);
         ctx.schedule(t_ready - now + lat, core, CohEvent::GrantArrive(x));
     }
@@ -824,12 +864,15 @@ impl CoherenceEngine {
                 x.id
             );
         };
-        let new_dir = if kind.needs_exclusive() {
+        let outcome = if kind.needs_exclusive() {
             self.l1_mut(o).remove(line);
-            DirState::Modified(req)
+            Downgrade::Owner(req)
         } else {
             *self.l1_mut(o).peek_mut(line).unwrap() = L1State::Shared;
-            DirState::Shared(crate::CoreSet::only(o).with(req))
+            Downgrade::Sharers {
+                owner: o,
+                requester: req,
+            }
         };
         if owner_state == L1State::Modified {
             // Only dirty copies write back; an Exclusive (clean) copy is
@@ -843,13 +886,13 @@ impl CoherenceEngine {
         // Data ≥ Control, so the directory is current when the line's
         // channel reopens.
         let upd = self.msg(o, home, MsgClass::Control);
-        ctx.schedule(upd, home, CohEvent::DirUpdate { line, dir: new_dir });
+        ctx.schedule(upd, home, CohEvent::DirUpdate { line, outcome });
         let data = self.msg(o, req, MsgClass::Data);
         ctx.schedule(t - now + data, req, CohEvent::GrantArrive(x));
     }
 
     /// An owner's downgrade result reached the home directory.
-    fn dir_update(&mut self, now: Cycle, line: LineAddr, dir: DirState) {
+    fn dir_update(&mut self, now: Cycle, line: LineAddr, outcome: Downgrade) {
         let home = self.home_of(line);
         if self.l2_at(home).peek(line).is_none() {
             protocol_bug!(
@@ -857,7 +900,19 @@ impl CoherenceEngine {
                 "DirUpdate for {line} but no home L2 entry (pin lost mid-transaction?)"
             );
         }
-        *self.l2_mut(home).peek_mut(line).unwrap() = dir;
+        // The entry being replaced still names the downgraded owner
+        // (this transaction holds the line's channel), so no row is
+        // released here.
+        let new_dir = match outcome {
+            Downgrade::Owner(c) => DirEntry::Modified(c),
+            Downgrade::Sharers { owner, requester } => {
+                let rows = &mut self.tile_mut(home).rows;
+                let r = rows.alloc(owner);
+                rows.insert(r, requester);
+                DirEntry::Shared(r)
+            }
+        };
+        *self.l2_mut(home).peek_mut(line).unwrap() = new_dir;
     }
 
     /// An invalidation reached a Shared-state holder: drop the copy.
@@ -881,8 +936,8 @@ impl CoherenceEngine {
             return;
         }
         if let Some(dir) = self.l2_mut(home).peek_mut(line) {
-            if *dir == DirState::Modified(from) {
-                *dir = DirState::Uncached;
+            if *dir == DirEntry::Modified(from) {
+                *dir = DirEntry::Uncached;
             }
         }
     }
@@ -892,14 +947,11 @@ impl CoherenceEngine {
     /// re-granted exclusively while the notice was in flight).
     fn sharer_drop(&mut self, line: LineAddr, from: CoreId) {
         let home = self.home_of(line);
-        if let Some(dir) = self.l2_mut(home).peek_mut(line) {
-            if let DirState::Shared(mask) = *dir {
-                let m = mask.without(from);
-                *dir = if m.is_empty() {
-                    DirState::Uncached
-                } else {
-                    DirState::Shared(m)
-                };
+        if let Some(&DirEntry::Shared(r)) = self.l2_at(home).peek(line) {
+            let rows = &mut self.tile_mut(home).rows;
+            if rows.remove(r, from) {
+                rows.free(r);
+                *self.l2_mut(home).peek_mut(line).unwrap() = DirEntry::Uncached;
             }
         }
     }
@@ -1075,18 +1127,21 @@ impl CoherenceEngine {
     /// are messages: each copy holder drops its copy (and lease) when the
     /// `BackInval` arrives at its tile.
     fn l2_install(&mut self, now: Cycle, home: CoreId, line: LineAddr, ctx: &mut dyn CohContext) {
-        match self.l2_mut(home).insert(line, DirState::Uncached) {
+        match self.l2_mut(home).insert(line, DirEntry::Uncached) {
             Inserted::NoVictim => {}
             Inserted::Evicted(vline, vdir) => match vdir {
-                DirState::Uncached => {}
-                DirState::Shared(mask) => {
-                    for s in mask.iter() {
+                DirEntry::Uncached => {}
+                DirEntry::Shared(row) => {
+                    let mut next = 0;
+                    while let Some(s) = self.tile_at(home).rows.next_member(row, next) {
+                        next = s.idx() + 1;
                         let lat = self.msg(home, s, MsgClass::Control);
                         ctx.schedule(lat, s, CohEvent::BackInval { line: vline });
                         self.cur_stats().invalidations += 1;
                     }
+                    self.tile_mut(home).rows.free(row);
                 }
-                DirState::Modified(o) => {
+                DirEntry::Modified(o) => {
                     let lat = self.msg(home, o, MsgClass::Control);
                     ctx.schedule(lat, o, CohEvent::BackInval { line: vline });
                     // The victim's dirty data heads home alongside.
@@ -1138,22 +1193,23 @@ impl CoherenceEngine {
 
     /// Protocol invariants, checked at quiescence (no in-flight
     /// transactions *and* a drained event queue, so every victim message
-    /// has been applied): single-writer, sharer-mask consistency,
-    /// inclusivity.
+    /// has been applied): single-writer, sharer-row consistency,
+    /// inclusivity, and no leaked sharer rows.
     pub fn check_invariants(&self) {
         assert_eq!(self.in_flight(), 0, "invariant check requires quiescence");
         assert!(self.tiles.iter().all(|t| t.stalled.is_empty()));
         for (c, l1) in self.l1.iter().enumerate() {
             let c = CoreId(c as u16);
             for (line, st) in l1.iter() {
-                let dir = self
-                    .dir_state(line)
+                let home = self.home_of(line).idx();
+                let dir = *self.l2[home]
+                    .peek(line)
                     .unwrap_or_else(|| panic!("inclusivity violated: {line} at {c} not in L2"));
                 match st {
                     L1State::Modified | L1State::Exclusive => {
                         assert_eq!(
                             dir,
-                            DirState::Modified(c),
+                            DirEntry::Modified(c),
                             "dir disagrees with E/M copy at {c} for {line}"
                         );
                         for (o, other) in self.l1.iter().enumerate() {
@@ -1163,29 +1219,38 @@ impl CoherenceEngine {
                         }
                     }
                     L1State::Shared => match dir {
-                        DirState::Shared(mask) => {
-                            assert!(mask.contains(c), "sharer bit missing for {c} {line}")
-                        }
-                        other => panic!("S copy at {c} for {line} but dir={other:?}"),
+                        DirEntry::Shared(r) => assert!(
+                            self.tiles[home].rows.contains(r, c),
+                            "sharer bit missing for {c} {line}"
+                        ),
+                        _ => panic!(
+                            "S copy at {c} for {line} but dir={:?}",
+                            self.dir_state(line)
+                        ),
                     },
                 }
             }
         }
-        // Directory entries must be backed by actual copies.
-        for l2 in &self.l2 {
+        // Directory entries must be backed by actual copies, and each
+        // tile's live sharer rows must be exactly its Shared entries: a
+        // row left behind is a leak no simulated statistic would show.
+        for (h, l2) in self.l2.iter().enumerate() {
+            let rows = &self.tiles[h].rows;
+            let mut shared = 0;
             for (line, dir) in l2.iter() {
                 match *dir {
-                    DirState::Uncached => {}
-                    DirState::Modified(o) => {
+                    DirEntry::Uncached => {}
+                    DirEntry::Modified(o) => {
                         let st = self.l1[o.idx()].peek(line);
                         assert!(
                             matches!(st, Some(L1State::Modified | L1State::Exclusive)),
                             "dir=M({o}) but no E/M copy for {line} (found {st:?})"
                         );
                     }
-                    DirState::Shared(mask) => {
-                        assert!(!mask.is_empty(), "empty sharer set for {line}");
-                        for s in mask.iter() {
+                    DirEntry::Shared(r) => {
+                        shared += 1;
+                        assert!(!rows.is_empty(r), "empty sharer row for {line}");
+                        for s in rows.members(r) {
                             assert_eq!(
                                 self.l1[s.idx()].peek(line),
                                 Some(&L1State::Shared),
@@ -1195,6 +1260,12 @@ impl CoherenceEngine {
                     }
                 }
             }
+            assert_eq!(
+                rows.live(),
+                shared,
+                "tile {h} holds {} live sharer rows for {shared} Shared entries (leaked row)",
+                rows.live()
+            );
         }
     }
 }

@@ -33,6 +33,7 @@
 //! `strict-invariants`) builds every tile-slice access is checked
 //! against the executing tile and panics on a violation.
 
+mod dir;
 mod engine;
 #[cfg(test)]
 mod tests_engine;
@@ -81,17 +82,16 @@ impl L1State {
     }
 }
 
-/// A set of cores: the directory's sharer list. A fixed 1024-bit bitset
-/// (`Copy`, 128 bytes), so directories scale to the multi-socket
-/// configurations — the previous representation was a single `u64`
-/// word, capping the machine at 64 cores.
+/// A set of cores, as [`DirState::Shared`] reports a line's sharers: a
+/// fixed bitset wide enough for [`lr_sim_core::MAX_CORES`] (`Copy`,
+/// 128 bytes). The engine never stores one; it keeps sharers in
+/// compact per-tile rows sized to the machine and builds a `CoreSet`
+/// only when [`CoherenceEngine::dir_state`] is asked.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct CoreSet([u64; CoreSet::WORDS]);
 
 impl CoreSet {
-    const WORDS: usize = 16;
-    /// Largest representable core count.
-    pub const CAPACITY: usize = Self::WORDS * 64;
+    const WORDS: usize = lr_sim_core::MAX_CORES.div_ceil(64);
     /// The empty set.
     pub const EMPTY: CoreSet = CoreSet([0; Self::WORDS]);
 
@@ -102,8 +102,7 @@ impl CoreSet {
     }
 
     /// The set whose low 64 members are given by `mask` (bit `i` ⇒ core
-    /// `i`) — mirrors the old `u64` directory representation; used by
-    /// tests that spell sharer sets as literals.
+    /// `i`); used by tests that spell sharer sets as literals.
     pub fn from_mask(mask: u64) -> CoreSet {
         let mut s = Self::EMPTY;
         s.0[0] = mask;
@@ -138,11 +137,6 @@ impl CoreSet {
         self.0.iter().all(|&w| w == 0)
     }
 
-    /// Number of members.
-    pub fn count(&self) -> usize {
-        self.0.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Members in ascending core order (word-skipping, so iteration cost
     /// scales with membership, not capacity).
     pub fn iter(self) -> impl Iterator<Item = CoreId> {
@@ -174,7 +168,9 @@ impl std::fmt::Debug for CoreSet {
     }
 }
 
-/// Directory knowledge about one line (stored in its home L2 slice).
+/// Directory knowledge about one line, as [`CoherenceEngine::dir_state`]
+/// reports it for tests and failure reports. The home L2 slice stores a
+/// compact equivalent of at most 8 bytes per way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirState {
     /// No L1 holds the line; L2/DRAM data is current.
@@ -244,7 +240,7 @@ pub enum CohEvent {
     /// the new directory state. Always arrives strictly before the same
     /// transaction's `DirUnlock` (see `engine.rs` for the latency
     /// argument), so the directory is current when the channel reopens.
-    DirUpdate { line: LineAddr, dir: DirState },
+    DirUpdate { line: LineAddr, outcome: Downgrade },
     /// A victim writeback (M: data, E: clean-exclusive notice) reached
     /// the home. Applied only if the directory still names `from` as
     /// owner and no transaction is active on the line; otherwise the
@@ -256,6 +252,22 @@ pub enum CohEvent {
     /// An inclusive-L2 back-invalidation reached a copy holder (the
     /// delivery tile): drop the copy and any lease on it. Idempotent.
     BackInval { line: LineAddr },
+}
+
+// Every scheduled protocol message is one of these, copied into the
+// embedder's event queue: keep a new variant from inflating them all.
+const _: () = assert!(std::mem::size_of::<CohEvent>() <= 48);
+
+/// How an exclusive owner gave up a line, carried home by
+/// [`CohEvent::DirUpdate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Downgrade {
+    /// The owner invalidated its copy: this core (the requester) is the
+    /// new exclusive owner.
+    Owner(CoreId),
+    /// The owner kept a Shared copy and the requester received one:
+    /// both are now the line's sharers.
+    Sharers { owner: CoreId, requester: CoreId },
 }
 
 /// What the lease layer tells the engine to do with a probe that reached

@@ -392,9 +392,21 @@ enum Ev {
         generation: u64,
     },
     /// A heap request reached the allocator home tile.
-    MemReq { tid: usize, op: Op },
+    MemReq { tid: usize, op: HeapOp },
     /// The allocator's reply reached the requesting core.
     MemReply { tid: usize, value: u64 },
+}
+
+// Every queued engine event is one of these: a coherence message plus
+// its delivery tile is the largest, so keep the rest within it.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 56);
+
+/// A heap request carried by [`Ev::MemReq`]: only the two heap ops, so
+/// the message stays a fraction of a full [`Op`].
+#[derive(Debug, Clone, Copy)]
+enum HeapOp {
+    Malloc { size: u64, align: u64 },
+    Free(lr_sim_core::Addr),
 }
 
 impl Ev {
@@ -716,7 +728,12 @@ const _: () = {
 impl Machine {
     /// A machine with the given configuration and an empty heap.
     pub fn new(cfg: SystemConfig) -> Self {
-        assert!(cfg.num_cores >= 1 && cfg.num_cores <= lr_coherence::CoreSet::CAPACITY);
+        assert!(
+            cfg.num_cores >= 1 && cfg.num_cores <= lr_sim_core::MAX_CORES,
+            "the machine supports 1 to {} cores, not {}",
+            lr_sim_core::MAX_CORES,
+            cfg.num_cores
+        );
         Machine {
             cfg,
             mem: SimMemory::new(),
@@ -1275,15 +1292,10 @@ impl EngineCore<'_> {
             Ev::MemReq { tid, op } => {
                 self.pctx[p].alloc_msgs += 1;
                 let value = match op {
-                    Op::Malloc { size, align } => self.mem.alloc(size, align).0,
-                    Op::Free(a) => {
+                    HeapOp::Malloc { size, align } => self.mem.alloc(size, align).0,
+                    HeapOp::Free(a) => {
                         self.mem.free(a);
                         0
-                    }
-                    other => {
-                        return Err(format!(
-                            "non-heap op routed to the allocator home: {other:?}"
-                        ))
                     }
                 };
                 let back = self
@@ -1619,19 +1631,24 @@ impl EngineCore<'_> {
                 self.imm(tid, t, 0, true, 1);
                 self.drain(p, t);
             }
-            Op::Malloc { .. } | Op::Free(_) => {
-                // The heap allocator is global machine state: route the
-                // request to the allocator home tile as a message. The
-                // simulated cost model becomes ALLOC_COST plus the NoC
-                // control round trip — identical for every executor.
-                self.pending[tid] = Some(Pending::Alloc { issued: t });
-                let go = self.engine.ctrl_latency(core, CoreId(ALLOC_HOME as u16));
-                self.shared
-                    .queue
-                    .push(tid, t, ALLOC_HOME, t + go, Ev::MemReq { tid, op });
-            }
+            Op::Malloc { size, align } => self.heap_request(tid, t, HeapOp::Malloc { size, align }),
+            Op::Free(a) => self.heap_request(tid, t, HeapOp::Free(a)),
             Op::Exit { .. } => unreachable!("Exit handled in await_request"),
         }
+    }
+
+    /// Send a heap op to the allocator home tile. The heap allocator is
+    /// global machine state, so the request travels as a message: the
+    /// simulated cost model becomes ALLOC_COST plus the NoC control
+    /// round trip — identical for every executor.
+    fn heap_request(&mut self, tid: usize, t: Cycle, op: HeapOp) {
+        self.pending[tid] = Some(Pending::Alloc { issued: t });
+        let go = self
+            .engine
+            .ctrl_latency(CoreId(tid as u16), CoreId(ALLOC_HOME as u16));
+        self.shared
+            .queue
+            .push(tid, t, ALLOC_HOME, t + go, Ev::MemReq { tid, op });
     }
 
     /// Finish one instruction at its completion time: move data, account

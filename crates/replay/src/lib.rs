@@ -266,7 +266,7 @@ pub fn replay_with_config(trace: &MachineTrace, cfg: SystemConfig) -> ReplayOutc
 fn replay_inner(trace: &MachineTrace, cfg: SystemConfig, variant: EngineVariant) -> ReplayOutcome {
     if trace.cores.is_empty()
         || cfg.num_cores < 1
-        || cfg.num_cores > 64
+        || cfg.num_cores > lr_sim_core::MAX_CORES
         || trace.cores.len() > cfg.num_cores
     {
         return ReplayOutcome::Diverged(Box::new(Divergence {
@@ -528,6 +528,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Replay takes every machine the recorder can: a 128-core ×
+    /// 2-socket run, wider than one 64-bit sharer word, whose cores
+    /// read and FAA one line homed on each socket.
+    #[test]
+    fn replay_accepts_machines_wider_than_64_cores() {
+        const CORES: usize = 128;
+        let mut cfg = SystemConfig::with_cores(CORES);
+        cfg.sockets = 2;
+        let mut machine = Machine::new(cfg);
+        let cells = machine.setup(|m| [m.alloc_line_aligned(8), m.alloc_in_socket(8, 64, 1)]);
+        let progs: Vec<ThreadFn> = (0..CORES)
+            .map(|tid| {
+                Box::new(move |ctx: &mut ThreadCtx| {
+                    for i in 0..3 {
+                        ctx.read(cells[(tid + i) % 2]);
+                        ctx.faa(cells[(tid + i + 1) % 2], 1);
+                        ctx.count_op();
+                    }
+                }) as ThreadFn
+            })
+            .collect();
+        let trace = machine.run_recorded(progs).trace;
+        assert_eq!(trace.cores.len(), CORES);
+        match replay(&trace) {
+            ReplayOutcome::Matched { mem, .. } => {
+                let total: u64 = cells.iter().map(|&c| mem.read_word(c)).sum();
+                assert_eq!(total, 3 * CORES as u64);
+            }
+            ReplayOutcome::Diverged(d) => panic!("128-core replay diverged: {d}"),
+        }
+        verify(&trace).expect("128-core replay matches its recording byte for byte");
     }
 
     #[test]

@@ -32,6 +32,10 @@ pub type Cycle = u64;
 /// Size of a cache line in bytes (Table 1: 64 B).
 pub const LINE_SIZE: u64 = 64;
 
+/// Largest simulated core count. The trace decoder, the machine, the
+/// coherence engine and replay all enforce this one bound.
+pub const MAX_CORES: usize = 1024;
+
 /// Identifier of a core / tile (cores and tiles are 1:1 in the target
 /// system, as in Graphite's tiled-multicore model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -434,15 +434,15 @@ fn decode_config(cur: &mut Cursor<'_>) -> Result<SystemConfig, TraceError> {
         watchdog_max_events: cur.varint("watchdog_max_events")?,
     };
     // Semantic bounds a decoded config must satisfy before any consumer
-    // does arithmetic with it: the machine layer supports 1–1024 cores,
-    // the socket layout must be well-formed (at least one socket,
-    // evenly dividing the cores — `tiles_per_socket` would panic
-    // otherwise), and the cache geometry must yield at least one set
-    // per level (zero ways or a sub-line capacity would divide by zero
-    // in the set-index math; an absurd capacity would overflow it). The
-    // checksum only guards against *corruption*; these guard against
-    // *crafted* inputs.
-    if cfg.num_cores < 1 || cfg.num_cores > 1024 {
+    // does arithmetic with it: the machine layer supports 1 to
+    // `MAX_CORES` cores, the socket layout must be well-formed (at
+    // least one socket, evenly dividing the cores — `tiles_per_socket`
+    // would panic otherwise), and the cache geometry must yield at
+    // least one set per level (zero ways or a sub-line capacity would
+    // divide by zero in the set-index math; an absurd capacity would
+    // overflow it). The checksum only guards against *corruption*;
+    // these guard against *crafted* inputs.
+    if cfg.num_cores < 1 || cfg.num_cores > crate::MAX_CORES {
         return Err(TraceError::Malformed("num_cores"));
     }
     if cfg.sockets < 1 || cfg.sockets > 64 || !cfg.num_cores.is_multiple_of(cfg.sockets) {
@@ -1079,7 +1079,7 @@ mod tests {
 
     #[test]
     fn out_of_range_core_count_is_malformed() {
-        for num_cores in [0, 1025, 1 << 33] {
+        for num_cores in [0, crate::MAX_CORES as u64 + 1, 1 << 33] {
             assert_eq!(
                 decode_raw_config(&RawConfig {
                     num_cores,
@@ -1088,7 +1088,7 @@ mod tests {
                 Err(TraceError::Malformed("num_cores"))
             );
         }
-        for num_cores in [64, 1024] {
+        for num_cores in [64, crate::MAX_CORES as u64] {
             assert!(decode_raw_config(&RawConfig {
                 num_cores,
                 ..RawConfig::default()
