@@ -4,30 +4,57 @@
 # access — the workspace has no external dependencies.
 set -eu
 
-echo "== cargo fmt --check =="
+# Per-step wall time: `step NAME` closes the running step (printing
+# how long it took) and opens the next one; `step` with no name closes
+# the last. The table and the total print once every step has passed.
+ms() {
+    t=$(date +%s%N)
+    # A date(1) without %N (BSD, busybox) falls back to whole seconds.
+    case $t in *N) t=$(($(date +%s) * 1000000000)) ;; esac
+    echo $((t / 1000000))
+}
+secs() { echo "$(($1 / 1000)).$(($1 % 1000 / 100))"; }
+CI_T0=$(ms)
+STEP=""
+STEP_T0=$CI_T0
+TIMES=""
+step() {
+    now=$(ms)
+    if [ -n "$STEP" ]; then
+        took=$(secs $((now - STEP_T0)))
+        echo "   ($took s)"
+        TIMES="$TIMES$(printf '%8s s  %s' "$took" "$STEP")
+"
+    fi
+    STEP=${1:-}
+    STEP_T0=$now
+    if [ -n "$STEP" ]; then echo "== $STEP =="; fi
+}
+
+step "cargo fmt --check"
 cargo fmt --all --check
 
-echo "== cargo clippy (deny warnings) =="
+step "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== tier-1 verify: release build + tests =="
+step "tier-1 verify: release build + tests"
 cargo build --release --offline
 cargo test -q --offline
 
-echo "== benchmark package: build + tests =="
+step "benchmark package: build + tests"
 # perfbench is a cargo package of its own (empty [workspace]), so the
 # workspace build above does not compile it. It copies CohEvent by value
 # and implements CohContext: an API change that breaks it must fail
 # here, not when the benchmark is next run.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== strict invariant checking =="
+step "strict invariant checking"
 cargo test -q --offline --workspace --features lease-release/strict-invariants
 
-echo "== driver smoke: every scenario, 2 parallel jobs =="
+step "driver smoke: every scenario, 2 parallel jobs"
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --smoke --jobs 2 > /dev/null
 
-echo "== event-queue A/B: heap vs wheel must be byte-identical =="
+step "event-queue A/B: heap vs wheel must be byte-identical"
 # Every deterministic (sim) scenario, run once per event-queue store:
 # the emitted rows and every BENCH_*.json must not differ by one byte.
 # Wall-clock scenarios (--kind host/wall) are exempt by nature.
@@ -45,7 +72,7 @@ diff -u "$AB_DIR/rows_heap.txt" "$AB_DIR/rows_wheel.txt"
 diff -ru "$AB_DIR/json_heap" "$AB_DIR/json_wheel"
 rm -rf "$AB_DIR"
 
-echo "== engine-shards A/B: 1 vs 4 partitions must be byte-identical =="
+step "engine-shards A/B: 1 vs 4 partitions must be byte-identical"
 # The PDES executor axis: every deterministic (sim) scenario, run once
 # single-partition and once with 4 conservatively-synchronized engine
 # partitions. Rows and every BENCH_*.json must not differ by one byte —
@@ -62,7 +89,7 @@ diff -u "$SH_DIR/rows_s1.txt" "$SH_DIR/rows_s4.txt"
 diff -ru "$SH_DIR/json_s1" "$SH_DIR/json_s4"
 rm -rf "$SH_DIR"
 
-echo "== commit-mode A/B: lockstep vs relaxed must be byte-identical =="
+step "commit-mode A/B: lockstep vs relaxed must be byte-identical"
 # The parallel-commit axis: every deterministic (sim) scenario, run once
 # with the lockstep executor (one event at a time in global order) and
 # once with the relaxed executor (safe-window batches committed
@@ -81,16 +108,16 @@ diff -u "$CM_DIR/rows_lock.txt" "$CM_DIR/rows_rel.txt"
 diff -ru "$CM_DIR/json_lock" "$CM_DIR/json_rel"
 rm -rf "$CM_DIR"
 
-echo "== engine throughput smoke (gates on completion, not numbers) =="
+step "engine throughput smoke (gates on completion, not numbers)"
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario engine_throughput --smoke > /dev/null
 
-echo "== PDES scaling smoke (asserts identical stats + batch occupancy) =="
+step "PDES scaling smoke (asserts identical stats + batch occupancy)"
 # The scenario itself asserts, in-cell, that every (commit mode x shard
 # count) series is byte-identical to the sequential run and that the
 # relaxed series commit more than one event per window batch.
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario pdes_scaling --smoke > /dev/null
 
-echo "== lock showdown smoke (asserts zero allocator msgs + combiner ledger) =="
+step "lock showdown smoke (asserts zero allocator msgs + combiner ledger)"
 # Delegation locks (MCS/CLH/FC/CCSynch + lease hybrids) vs the paper's
 # TTS/leased locks over the same delegated stack. The scenario asserts,
 # in-cell, that steady state sends zero simulated allocator messages
@@ -101,7 +128,7 @@ echo "== lock showdown smoke (asserts zero allocator msgs + combiner ledger) =="
 # gate below.
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario lock_showdown --smoke > /dev/null
 
-echo "== NUMA serving smoke (asserts op ledger + cross-socket traffic shape) =="
+step "NUMA serving smoke (asserts op ledger + cross-socket traffic shape)"
 # Zipfian KV serving over the multi-socket topology: plain MSI vs
 # lease/release vs node replication at 1/2/4 sockets. The scenario
 # asserts, in-cell, that every key lands exactly on the pre-generated
@@ -119,7 +146,7 @@ LR_ENGINE_SHARDS=4 LR_ENGINE_COMMIT=relaxed LR_NO_JSON=1 \
     cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
     --scenario numa_serving --threads 1024 --ops 8 --series .s4 > /dev/null
 
-echo "== record/replay: every sim scenario must replay byte-identical =="
+step "record/replay: every sim scenario must replay byte-identical"
 # Record every deterministic simulation of a smoke sweep as a trace,
 # then re-drive each trace engine-only: the replayed MachineStats must
 # match the live run byte-for-byte (exit non-zero on any divergence).
@@ -132,7 +159,7 @@ cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
 tail -n 1 "$TR_DIR/replay.txt"
 rm -rf "$TR_DIR"
 
-echo "== fuzz farm: seeded differential campaign, twice, diffed =="
+step "fuzz farm: seeded differential campaign, twice, diffed"
 # Replay-driven differential fuzzing over a fixed seed range: each seed
 # records live under msi/mesi/lease-tight, replays every trace under
 # both event-queue stores crossed with shard/commit combos (1 lockstep,
@@ -148,7 +175,7 @@ cargo run -q --release --offline -p lr-fuzz --bin lr-fuzz -- \
 diff -u "$FZ_DIR/run1.txt" "$FZ_DIR/run2.txt"
 tail -n 1 "$FZ_DIR/run1.txt"
 
-echo "== fuzz farm: injected-mutation detection drill =="
+step "fuzz farm: injected-mutation detection drill"
 # Flip one reply flag in a real recording: the farm must catch it at its
 # exact coordinates, shrink the workload to a single op, and persist a
 # reproducer that still fails verification after a disk round-trip.
@@ -156,7 +183,7 @@ cargo run -q --release --offline -p lr-fuzz --bin lr-fuzz -- \
     --self-test --repro-dir "$FZ_DIR/drill"
 rm -rf "$FZ_DIR"
 
-echo "== fuzz farm: checked-in regression corpus =="
+step "fuzz farm: checked-in regression corpus"
 # Every committed trace must replay byte-identical under both event
 # queues crossed with engine partition counts 1, 2, and 4 crossed with
 # both commit modes (lockstep and relaxed).
@@ -164,4 +191,7 @@ echo "== fuzz farm: checked-in regression corpus =="
 cargo run -q --release --offline -p lr-fuzz --bin lr-fuzz -- \
     --check-corpus corpus
 
+step
+printf '%s' "$TIMES"
+echo "   total $(secs $(($(ms) - CI_T0))) s"
 echo "CI OK"

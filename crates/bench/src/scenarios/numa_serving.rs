@@ -27,10 +27,12 @@
 //! degeneracy) and multi-socket cells with workers on more than one
 //! socket assert it is nonzero.
 //!
-//! Caches are deliberately small (8 KiB L1 / 32 KiB L2 slice) so the
-//! 256–1024-core sweeps stay tractable while keeping the hot working
-//! set resident — the contention structure, not capacity misses, is
-//! what's measured.
+//! Caches are deliberately small (8 KiB L1 / 32 KiB L2 slice). They
+//! keep the hot working set resident — the contention structure, not
+//! capacity misses, is what's measured — and they stay so that results
+//! remain comparable across revisions. Host memory does not need them:
+//! cache sets are allocated on first fill, so even the paper's Table-1
+//! sizes cost a 1024-core engine about 3 MiB.
 
 use crate::harness::BenchRow;
 use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
@@ -114,8 +116,8 @@ fn expected_ledger(plan: &[Vec<Op>]) -> Vec<u64> {
 }
 
 /// The cell's machine config: `threads` workers on the smallest
-/// socket-divisible core count, with small caches so kilo-core sweeps
-/// stay tractable.
+/// socket-divisible core count, with the module's small caches (kept
+/// for comparable results, not for host memory).
 fn numa_cfg(threads: usize, sockets: usize) -> SystemConfig {
     let cores = threads.max(sockets).next_multiple_of(sockets);
     let mut cfg = SystemConfig::with_cores(cores);

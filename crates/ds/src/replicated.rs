@@ -33,6 +33,7 @@ use lr_machine::ThreadCtx;
 use lr_sim_core::Addr;
 use lr_sim_mem::SimMemory;
 use lr_sync::CsApply;
+use std::sync::Arc;
 
 /// Publication-record layout (32 bytes, line-aligned; one per thread,
 /// allocated in the thread's socket arena). REQ: 0 = idle, 1 = pending,
@@ -69,6 +70,8 @@ pub struct ReplHandle {
 /// of an arbitrary [`CsApply`] interpreter. `Clone` so each workload
 /// thread can move its own copy into its closure; all fields are
 /// simulated addresses, so clones alias the same simulated structure.
+/// The per-socket and per-thread tables are shared (`Arc`), so a clone
+/// costs a few refcount bumps however many threads the machine has.
 #[derive(Debug, Clone)]
 pub struct Replicated<A> {
     /// Lease the combiner word, the publication records, and the log
@@ -83,14 +86,14 @@ pub struct Replicated<A> {
     log: Addr,
     log_cap: u64,
     /// Per-socket combiner lock word (in the socket's arena).
-    combiner: Vec<Addr>,
+    combiner: Arc<[Addr]>,
     /// Per-socket applied-prefix counter (only its combiner touches it).
-    applied: Vec<Addr>,
+    applied: Arc<[Addr]>,
     /// Per-thread publication record, indexed by tid (each in its
     /// thread's socket arena).
-    recs: Vec<Addr>,
+    recs: Arc<[Addr]>,
     /// Per-socket replica interpreters (each over arena-local storage).
-    replicas: Vec<A>,
+    replicas: Arc<[A]>,
 }
 
 impl<A: CsApply> Replicated<A> {

@@ -40,10 +40,21 @@ pub enum Inserted<T> {
 }
 
 /// A set-associative cache with true LRU and pinnable lines.
+///
+/// Way storage follows the sets a run touches: a set's `ways` slots are
+/// appended to `slots` as one block on the first insert into that set,
+/// and a lookup in a never-filled set misses without allocating. A
+/// kilo-core machine fills a small fraction of its L1/L2 sets, so this
+/// keeps construction at one `u32` per set instead of `ways` slots.
 #[derive(Debug)]
 pub struct SetAssocCache<T> {
     sets: usize,
     ways: usize,
+    /// Per set: 1 + the index of its block in `slots`, or 0 if the set
+    /// was never filled.
+    block: Vec<u32>,
+    /// The filled sets' ways, `ways` slots per block, in first-fill
+    /// order (set order is recovered through `block`).
     slots: Vec<Option<Way<T>>>,
     clock: u64,
 }
@@ -52,12 +63,11 @@ impl<T> SetAssocCache<T> {
     /// A cache with `sets` sets of `ways` ways.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0);
-        let mut slots = Vec::new();
-        slots.resize_with(sets * ways, || None);
         SetAssocCache {
             sets,
             ways,
-            slots,
+            block: vec![0; sets],
+            slots: Vec::new(),
             clock: 0,
         }
     }
@@ -67,14 +77,28 @@ impl<T> SetAssocCache<T> {
         (line.0 as usize) % self.sets
     }
 
+    /// Slot range of `set`'s ways; empty if the set was never filled.
     #[inline]
-    fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
-        let s = self.set_of(line) * self.ways;
-        s..s + self.ways
+    fn ways_of(&self, set: usize) -> std::ops::Range<usize> {
+        match self.block[set] as usize {
+            0 => 0..0,
+            b => (b - 1) * self.ways..b * self.ways,
+        }
+    }
+
+    /// Slot range of `set`'s ways, allocating its block on first fill.
+    fn ways_of_or_alloc(&mut self, set: usize) -> std::ops::Range<usize> {
+        if self.block[set] == 0 {
+            self.slots
+                .resize_with(self.slots.len() + self.ways, || None);
+            self.block[set] = u32::try_from(self.slots.len() / self.ways)
+                .expect("more than u32::MAX sets filled");
+        }
+        self.ways_of(set)
     }
 
     fn find(&self, line: LineAddr) -> Option<usize> {
-        self.set_range(line)
+        self.ways_of(self.set_of(line))
             .find(|&i| self.slots[i].as_ref().is_some_and(|w| w.line == line))
     }
 
@@ -120,7 +144,7 @@ impl<T> SetAssocCache<T> {
         debug_assert!(!self.contains(line), "insert of resident line {line}");
         self.clock += 1;
         let clock = self.clock;
-        let range = self.set_range(line);
+        let range = self.ways_of_or_alloc(self.set_of(line));
 
         // Prefer an invalid way.
         if let Some(i) = range.clone().find(|&i| self.slots[i].is_none()) {
@@ -176,15 +200,19 @@ impl<T> SetAssocCache<T> {
             .is_some_and(|i| self.slots[i].as_ref().unwrap().pinned)
     }
 
-    /// Iterate over `(line, payload)` of all resident lines.
+    /// Iterate over `(line, payload)` of all resident lines, in ascending
+    /// set order and way order within a set.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
-        self.slots.iter().flatten().map(|w| (w.line, &w.payload))
+        (0..self.sets)
+            .flat_map(|s| &self.slots[self.ways_of(s)])
+            .flatten()
+            .map(|w| (w.line, &w.payload))
     }
 
     /// All pinned lines in the set that `line` maps to (used to pick a
     /// lease to force-release when a fill finds its whole set pinned).
     pub fn pinned_in_set(&self, line: LineAddr) -> Vec<LineAddr> {
-        self.set_range(line)
+        self.ways_of(self.set_of(line))
             .filter_map(|i| self.slots[i].as_ref())
             .filter(|w| w.pinned)
             .map(|w| w.line)
@@ -286,6 +314,27 @@ mod tests {
         let mut lines: Vec<u64> = c.iter().map(|(l, _)| l.0).collect();
         lines.sort_unstable();
         assert_eq!(lines, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn sets_are_allocated_on_first_fill_only() {
+        let mut c = SetAssocCache::new(64, 4);
+        // Lookups, removals and pins in never-filled sets miss without
+        // allocating any ways.
+        assert!(!c.contains(line(7)));
+        assert!(c.touch(line(7)).is_none());
+        assert_eq!(c.remove(line(7)), None);
+        assert!(!c.set_pinned(line(7), true));
+        assert!(c.pinned_in_set(line(7)).is_empty());
+        assert_eq!(c.slots.len(), 0);
+        // Filling sets 9 then 2 appends one block each; iteration still
+        // follows set order, not fill order.
+        c.insert(line(9), 'a');
+        c.insert(line(2), 'b');
+        c.insert(line(66), 'c');
+        assert_eq!(c.slots.len(), 2 * 4);
+        let lines: Vec<u64> = c.iter().map(|(l, _)| l.0).collect();
+        assert_eq!(lines, [2, 66, 9]);
     }
 
     #[test]

@@ -14,8 +14,7 @@ enum Cmd {
     Pin(u64, bool),
 }
 
-fn random_cmd(rng: &mut SplitMix64) -> Cmd {
-    let l = rng.gen_range(0u64..64);
+fn random_cmd(rng: &mut SplitMix64, l: u64) -> Cmd {
     match rng.gen_range(0u8..4) {
         0 => Cmd::Insert(l),
         1 => Cmd::Touch(l),
@@ -67,14 +66,38 @@ impl Model {
         v.push((line, false));
         Some(Some(victim))
     }
+    /// Resident lines as `(set, line)`, sorted.
+    fn resident(&self) -> Vec<(usize, u64)> {
+        let mut r: Vec<(usize, u64)> = self
+            .sets
+            .iter()
+            .flat_map(|(&s, v)| v.iter().map(move |&(l, _)| (s, l)))
+            .collect();
+        r.sort_unstable();
+        r
+    }
 }
 
-#[test]
-fn cache_matches_reference_model() {
-    for case in 0..256u64 {
-        let mut rng = SplitMix64::new(0xc_ac4e_0000 + case);
-        let steps = rng.gen_range(1usize..150);
-        let (num_sets, ways) = (4usize, 3usize);
+/// Drive `cases` seeded command sequences of up to `max_steps` steps
+/// through a `num_sets × ways` cache and the model in lockstep, and
+/// check every observable after every step. Each case picks
+/// `hot_sets` distinct sets in random order; `pick_line(rng, hot)`
+/// draws each command's line.
+fn check_against_model(
+    num_sets: usize,
+    ways: usize,
+    hot_sets: usize,
+    cases: u64,
+    max_steps: usize,
+    seed: u64,
+    pick_line: impl Fn(&mut SplitMix64, &[u64]) -> u64,
+) {
+    for case in 0..cases {
+        let mut hot: Vec<u64> = (0..num_sets as u64).collect();
+        SplitMix64::new(!(seed + case)).shuffle(&mut hot);
+        hot.truncate(hot_sets);
+        let mut rng = SplitMix64::new(seed + case);
+        let steps = rng.gen_range(1usize..max_steps);
         let mut cache: SetAssocCache<u64> = SetAssocCache::new(num_sets, ways);
         let mut model = Model {
             num_sets,
@@ -83,7 +106,8 @@ fn cache_matches_reference_model() {
         };
 
         for _ in 0..steps {
-            match random_cmd(&mut rng) {
+            let l = pick_line(&mut rng, &hot);
+            match random_cmd(&mut rng, l) {
                 Cmd::Insert(l) => {
                     if model.find(l).is_some() {
                         continue; // cache forbids double insert
@@ -133,6 +157,44 @@ fn cache_matches_reference_model() {
                 }
             }
             assert_eq!(cache.len(), count);
+            // `iter()` yields exactly the resident lines, grouped by set
+            // in ascending set order.
+            let seen: Vec<(usize, u64)> = cache
+                .iter()
+                .map(|(l, &payload)| {
+                    assert_eq!(payload, l.0, "payload travelled with its line");
+                    (model.set_of(l.0), l.0)
+                })
+                .collect();
+            assert!(
+                seen.windows(2).all(|w| w[0].0 <= w[1].0),
+                "{num_sets}x{ways} case {case}: iter() left ascending set order: {seen:?}"
+            );
+            let mut seen = seen;
+            seen.sort_unstable();
+            assert_eq!(seen, model.resident(), "{num_sets}x{ways} case {case}");
         }
+    }
+}
+
+#[test]
+fn cache_matches_reference_model() {
+    check_against_model(4, 3, 4, 256, 150, 0xc_ac4e_0000, |rng, _| {
+        rng.gen_range(0u64..64)
+    });
+}
+
+/// Geometries where most sets are never filled: a few hot sets, filled
+/// in random order (so first-fill order differs from set order), each
+/// drawing from `2 × ways` aliasing lines, which keeps the hot sets near
+/// full and forces evictions (and fully pinned sets at 1 × 1 and 64 × 4).
+#[test]
+fn sparse_geometries_match_reference_model() {
+    for (num_sets, ways, hot_sets) in [(1usize, 1usize, 1usize), (64, 4, 4), (512, 8, 4)] {
+        let seed = 0x5ba2_5e00_0000 + (num_sets as u64) * 100;
+        check_against_model(num_sets, ways, hot_sets, 64, 400, seed, |rng, hot| {
+            let k = rng.gen_range(0..2 * ways as u64);
+            hot[rng.gen_range(0..hot.len())] + k * num_sets as u64
+        });
     }
 }
