@@ -72,50 +72,8 @@ diff -u "$AB_DIR/rows_heap.txt" "$AB_DIR/rows_wheel.txt"
 diff -ru "$AB_DIR/json_heap" "$AB_DIR/json_wheel"
 rm -rf "$AB_DIR"
 
-step "engine-shards A/B: 1 vs 4 partitions must be byte-identical"
-# The PDES executor axis: every deterministic (sim) scenario, run once
-# single-partition and once with 4 conservatively-synchronized engine
-# partitions. Rows and every BENCH_*.json must not differ by one byte —
-# the partitioned executor must be invisible in simulated results.
-SH_DIR=$(mktemp -d)
-mkdir -p "$SH_DIR/json_s1" "$SH_DIR/json_s4"
-LR_ENGINE_SHARDS=1 LR_JSON_DIR="$SH_DIR/json_s1" \
-    cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
-    --smoke --jobs 2 --kind sim | grep -v "^JSON -> " > "$SH_DIR/rows_s1.txt"
-LR_ENGINE_SHARDS=4 LR_JSON_DIR="$SH_DIR/json_s4" \
-    cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
-    --smoke --jobs 2 --kind sim | grep -v "^JSON -> " > "$SH_DIR/rows_s4.txt"
-diff -u "$SH_DIR/rows_s1.txt" "$SH_DIR/rows_s4.txt"
-diff -ru "$SH_DIR/json_s1" "$SH_DIR/json_s4"
-rm -rf "$SH_DIR"
-
-step "commit-mode A/B: lockstep vs relaxed must be byte-identical"
-# The parallel-commit axis: every deterministic (sim) scenario, run once
-# with the lockstep executor (one event at a time in global order) and
-# once with the relaxed executor (safe-window batches committed
-# concurrently across host threads), both at 4 engine partitions. Rows
-# and every BENCH_*.json must not differ by one byte — when the relaxed
-# executor commits batches in parallel, the simulation must not notice.
-CM_DIR=$(mktemp -d)
-mkdir -p "$CM_DIR/json_lock" "$CM_DIR/json_rel"
-LR_ENGINE_SHARDS=4 LR_ENGINE_COMMIT=lockstep LR_JSON_DIR="$CM_DIR/json_lock" \
-    cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
-    --smoke --jobs 2 --kind sim | grep -v "^JSON -> " > "$CM_DIR/rows_lock.txt"
-LR_ENGINE_SHARDS=4 LR_ENGINE_COMMIT=relaxed LR_JSON_DIR="$CM_DIR/json_rel" \
-    cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
-    --smoke --jobs 2 --kind sim | grep -v "^JSON -> " > "$CM_DIR/rows_rel.txt"
-diff -u "$CM_DIR/rows_lock.txt" "$CM_DIR/rows_rel.txt"
-diff -ru "$CM_DIR/json_lock" "$CM_DIR/json_rel"
-rm -rf "$CM_DIR"
-
 step "engine throughput smoke (gates on completion, not numbers)"
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario engine_throughput --smoke > /dev/null
-
-step "PDES scaling smoke (asserts identical stats + batch occupancy)"
-# The scenario itself asserts, in-cell, that every (commit mode x shard
-# count) series is byte-identical to the sequential run and that the
-# relaxed series commit more than one event per window batch.
-LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario pdes_scaling --smoke > /dev/null
 
 step "lock showdown smoke (asserts zero allocator msgs + combiner ledger)"
 # Delegation locks (MCS/CLH/FC/CCSynch + lease hybrids) vs the paper's
@@ -123,9 +81,8 @@ step "lock showdown smoke (asserts zero allocator msgs + combiner ledger)"
 # in-cell, that steady state sends zero simulated allocator messages
 # (node pools are pre-allocated), that every delegated op is combined
 # exactly once, and that the stack's push/pop/empty ledger balances.
-# As a ScenarioKind::Sim entry it also rides every --kind sim A/B gate
-# above (event-queue, engine-shards, commit-mode) and the record/replay
-# gate below.
+# As a ScenarioKind::Sim entry it also rides the --kind sim event-queue
+# A/B gate above and the record/replay gate below.
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario lock_showdown --smoke > /dev/null
 
 step "NUMA serving smoke (asserts op ledger + cross-socket traffic shape)"
@@ -136,14 +93,13 @@ step "NUMA serving smoke (asserts op ledger + cross-socket traffic shape)"
 # count, that single-socket cells send zero cross-socket messages (the
 # sockets=1 degeneracy), and that multi-socket cells with workers on
 # more than one socket actually cross the link. As a ScenarioKind::Sim
-# entry it also rides every --kind sim A/B gate above (event-queue,
-# engine-shards, commit-mode) and the record/replay gate below.
+# entry it also rides the --kind sim event-queue A/B gate above and the
+# record/replay gate below.
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario numa_serving --smoke > /dev/null
-# The kilo-core cell: 1024 simulated cores across 4 sockets, driven by
-# the partitioned relaxed executor — the scale the NUMA tier exists for.
-# The same in-cell ledger and cross-socket asserts gate it.
-LR_ENGINE_SHARDS=4 LR_ENGINE_COMMIT=relaxed LR_NO_JSON=1 \
-    cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
+# The kilo-core cell: 1024 simulated cores across 4 sockets — the scale
+# the NUMA tier exists for. The same in-cell ledger and cross-socket
+# asserts gate it.
+LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
     --scenario numa_serving --threads 1024 --ops 8 --series .s4 > /dev/null
 
 step "record/replay: every sim scenario must replay byte-identical"
@@ -162,8 +118,7 @@ rm -rf "$TR_DIR"
 step "fuzz farm: seeded differential campaign, twice, diffed"
 # Replay-driven differential fuzzing over a fixed seed range: each seed
 # records live under msi/mesi/lease-tight, replays every trace under
-# both event-queue stores crossed with shard/commit combos (1 lockstep,
-# 2 lockstep, 2 relaxed), and checks the workload's built-in FAA-ledger
+# both event-queue stores, and checks the workload's built-in FAA-ledger
 # and app-ops invariants. The campaign runs twice and the outputs are
 # diffed: the farm itself must be byte-deterministic. LR_FUZZ_SEEDS
 # opts in to a longer run (default 64 seeds, sub-second).
@@ -185,8 +140,7 @@ rm -rf "$FZ_DIR"
 
 step "fuzz farm: checked-in regression corpus"
 # Every committed trace must replay byte-identical under both event
-# queues crossed with engine partition counts 1, 2, and 4 crossed with
-# both commit modes (lockstep and relaxed).
+# queues.
 # Regenerate with: lr-fuzz --regen-corpus corpus --seeds 4
 cargo run -q --release --offline -p lr-fuzz --bin lr-fuzz -- \
     --check-corpus corpus

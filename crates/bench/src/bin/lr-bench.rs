@@ -23,26 +23,19 @@ OPTIONS:
     --list               List registered scenarios and exit
     --scenario A,B,...   Run only the named scenarios (default: all)
     --series SUBSTR      Run only series whose name contains SUBSTR
-    --threads T1,T2,...  Explicit thread counts (default: paper sweep
-                         1,2,4,...,64 capped by LR_MAX_THREADS)
-    --ops N              Per-thread operation count for every scenario
-                         (default: per-scenario, scaled by LR_OPS)
-    --jobs N             Parallel worker threads for sim cells
-                         (default: host cores; output is byte-identical
-                         for any N; clamped so jobs x LR_ENGINE_SHARDS
-                         never oversubscribes the host)
-    --smoke              Tiny ops + 2-thread cells across all selected
-                         scenarios: fast offline coverage of the whole
-                         experiment surface (used by ci.sh)
-    --kind sim|host|wall Keep only scenarios of one measurement kind:
-                         sim = deterministic simulations (byte-
-                         reproducible; what the event-queue A/B gate
-                         diffs), host/wall = wall-clock benches
-    --record DIR         Record every simulation of this run as a trace
-                         file in DIR (one collision-free file per cell)
-    --replay DIR         Do not run the grid; replay every *.lrt trace
-                         in DIR engine-only and require byte-identical
-                         MachineStats (exit non-zero on any divergence)
+    --threads T1,T2,...  Thread counts (default: 1,2,4,...,64, capped
+                         by LR_MAX_THREADS)
+    --ops N              Per-thread operations for every scenario
+                         (default: per scenario, or LR_OPS)
+    --jobs N             Parallel workers for sim cells (default and cap:
+                         host cores; output is identical for any N)
+    --smoke              Tiny ops, 2-thread cells: every selected
+                         scenario in seconds
+    --kind sim|host|wall Keep one measurement kind: sim = deterministic
+                         simulations, host/wall = wall-clock benches
+    --record DIR         Record every simulation as a trace file in DIR
+    --replay DIR         Replay every *.lrt trace in DIR engine-only and
+                         require byte-identical MachineStats
     -h, --help           This help
 
 ENVIRONMENT:
@@ -51,10 +44,7 @@ ENVIRONMENT:
     LR_NATIVE_OPS   ops for the host-native validation scenario
     LR_JSON_DIR     directory for BENCH_*.json (default: workspace root)
     LR_NO_JSON=1    disable the JSON export
-    LR_TRACE_DIR    entry-point alias for --record (read once at startup,
-                    never consulted by sweep workers)
-    LR_ENGINE_SHARDS engine partitions per simulation (PDES executor;
-                    simulated output is byte-identical for any value)
+    LR_TRACE_DIR    alias for --record
 ";
 
 /// Per-thread ops for `--smoke`: small enough that all 19 scenarios

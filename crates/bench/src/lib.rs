@@ -5,12 +5,10 @@
 //! [`Report`] sink (aligned table + `CSV,` lines + atomic
 //! `BENCH_*.json` files), and a parallel deterministic sweep driver.
 //!
-//! Three ways in:
+//! Two ways in:
 //!
 //! * the `lr-bench` binary (`cargo run -p lr-bench --bin lr-bench --
 //!   --list`) — filters, `--jobs N` parallelism, `--smoke`;
-//! * the historical per-figure bench targets (`cargo bench -p lr-bench
-//!   --bench fig2_stack`), now thin wrappers over [`run_scenario`];
 //! * the library API ([`build_plan`] + [`run`]) used by the tests.
 
 pub mod harness;
@@ -24,6 +22,6 @@ pub use report::{JsonPolicy, Report};
 pub use scenario::{CellCtx, CellOut, RecordTo, Scenario, ScenarioKind};
 pub use scenarios::{find, registry};
 pub use sweep::{
-    build_plan, clamp_jobs, default_jobs, max_threads_from_env, record_dir_from_env, run,
-    run_scenario, Plan, PlanOpts,
+    build_plan, clamp_jobs, default_jobs, max_threads_from_env, record_dir_from_env, run, Plan,
+    PlanOpts,
 };

@@ -110,7 +110,7 @@ pub struct Report {
     /// Serialized `CSVX,` extras so far (JSON string literals, already
     /// comma-joined) — the scenario-specific columns that don't fit the
     /// fixed row schema (combiner stats, latency histograms, growth
-    /// factors, executor shape) land in the document's `extras` array.
+    /// factors) land in the document's `extras` array.
     extras: String,
     n_extras: usize,
     /// Warn at most once per report about JSON write failures.
@@ -205,8 +205,8 @@ impl Report {
 
     /// Print a `CSVX,` extras line and append it to the JSON document's
     /// `extras` array, so the scenario-specific columns (combiner
-    /// stats, latency histograms, growth factors, executor shape)
-    /// survive into `BENCH_*.json` alongside the fixed-schema rows.
+    /// stats, latency histograms, growth factors) survive into
+    /// `BENCH_*.json` alongside the fixed-schema rows.
     pub fn extra(&mut self, out: &mut dyn Write, s: &str) {
         let _ = writeln!(out, "{s}");
         if self.json_path.is_some() {

@@ -27,7 +27,7 @@
 
 use crate::harness::BenchRow;
 use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
-use lr_machine::{engine_shards_from_env, Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
 use std::time::Instant;
 
 pub static SCENARIO: Scenario = Scenario {
@@ -116,13 +116,9 @@ fn run_cell(ctx: &CellCtx) -> CellOut {
         threads,
         ops_per_sec / 1e6,
     ));
-    // The engine-shards axis (LR_ENGINE_SHARDS) selects the executor
-    // these cells time; the row records which one so sweeps at
-    // different partition counts stay comparable.
     cell.post.push(format!(
-        "CSVX,engine_throughput,{},{},sim_ops_per_sec,{:.0},sim_events_per_sec,{:.0},events,{},engine_shards,{},wall_secs,{:.4}",
-        SCENARIO.series[series], threads, ops_per_sec, events_per_sec, events,
-        engine_shards_from_env(), wall
+        "CSVX,engine_throughput,{},{},sim_ops_per_sec,{:.0},sim_events_per_sec,{:.0},events,{},wall_secs,{:.4}",
+        SCENARIO.series[series], threads, ops_per_sec, events_per_sec, events, wall
     ));
     cell
 }

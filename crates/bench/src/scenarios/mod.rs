@@ -1,7 +1,6 @@
 //! The scenario registry: every paper figure/table as a declarative
-//! [`Scenario`] entry. One module per paper experiment, mirroring the
-//! historical bench-binary names (which survive as thin wrappers around
-//! [`crate::sweep::run_scenario`]).
+//! [`Scenario`] entry, one module per paper experiment. `lr-bench
+//! --scenario <name>` runs one and writes its `BENCH_*.json`.
 //!
 //! Registry order is canonical output order. [`ScenarioKind::Host`]
 //! entries must come last: the sweep driver dispatches sim cells to
@@ -23,7 +22,6 @@ pub mod fig5_pagerank;
 pub mod fig5_tl2_swhw;
 pub mod lock_showdown;
 pub mod numa_serving;
-pub mod pdes_scaling;
 pub mod tab_adaptive;
 pub mod tab_backoff;
 pub mod tab_lease_sensitivity;
@@ -33,11 +31,11 @@ pub mod tab_msg_constancy;
 pub mod trace_replay;
 pub mod validation_native;
 
-/// All 20 scenarios (15 paper experiments, the delegation-lock
-/// showdown, the NUMA serving comparison, plus the engine-throughput,
-/// PDES-scaling, and trace-replay infrastructure benches), in canonical
-/// (figure, table, validation) order; host-measured scenarios last.
-static REGISTRY: [&Scenario; 20] = [
+/// All 19 scenarios (15 paper experiments, the delegation-lock
+/// showdown, the NUMA serving comparison, plus the engine-throughput
+/// and trace-replay infrastructure benches), in canonical (figure,
+/// table, validation) order; host-measured scenarios last.
+static REGISTRY: [&Scenario; 19] = [
     &fig2_stack::SCENARIO,
     &fig3_counter::SCENARIO,
     &fig3_queue::SCENARIO,
@@ -56,7 +54,6 @@ static REGISTRY: [&Scenario; 20] = [
     &numa_serving::SCENARIO,
     &validation_native::SCENARIO,
     &engine_throughput::SCENARIO,
-    &pdes_scaling::SCENARIO,
     &trace_replay::SCENARIO,
 ];
 

@@ -97,14 +97,12 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Cap the sim-cell worker count so `jobs × engine shards` never
-/// oversubscribes the host. With `LR_ENGINE_SHARDS=N`, every cell's
-/// machine drives its partitions on N host threads of its own, so J
-/// concurrent cells occupy J×N threads: clamp J to `host / N` (at
-/// least 1). Pure — the caller supplies the shard count and host
-/// parallelism.
-pub fn clamp_jobs(jobs: usize, shards: usize, host: usize) -> usize {
-    jobs.min((host / shards.max(1)).max(1)).max(1)
+/// Cap the sim-cell worker count at host parallelism (at least 1):
+/// every cell's engine runs on its worker's thread, so more workers
+/// than host cores only oversubscribe. Pure — the caller supplies the
+/// host parallelism.
+pub fn clamp_jobs(jobs: usize, host: usize) -> usize {
+    jobs.min(host).max(1)
 }
 
 /// Parse `LR_MAX_THREADS` (the sweep cap) exactly once, at plan time —
@@ -174,13 +172,11 @@ pub fn build_plan(opts: &PlanOpts) -> Plan {
         .windows(2)
         .all(|w| !(w[0].scenario.kind != ScenarioKind::Sim
             && w[1].scenario.kind == ScenarioKind::Sim)));
-    let shards = lr_machine::engine_shards_from_env();
-    let jobs = clamp_jobs(opts.jobs.max(1), shards, host_cap);
+    let jobs = clamp_jobs(opts.jobs.max(1), host_cap);
     if jobs < opts.jobs.max(1) {
         eprintln!(
-            "lr-bench: clamping --jobs {} to {jobs}: LR_ENGINE_SHARDS={shards} \
-             gives every cell {shards} engine threads and the host has \
-             {host_cap} (output is byte-identical for any job count)",
+            "lr-bench: clamping --jobs {} to {jobs}: the host has {host_cap} \
+             (output is byte-identical for any job count)",
             opts.jobs.max(1)
         );
     }
@@ -347,29 +343,6 @@ pub fn run(plan: &Plan, out: &mut (dyn Write + Send)) {
     em.assert_drained();
 }
 
-/// Entry point for the thin per-figure wrapper binaries: run one
-/// registered scenario with the historical environment knobs
-/// (`LR_MAX_THREADS`, `LR_OPS`, `LR_JSON_DIR`, `LR_NO_JSON`, plus
-/// `LR_JOBS` for the worker count) and stream to stdout.
-pub fn run_scenario(name: &str) {
-    let sc = scenarios::find(name)
-        .unwrap_or_else(|| panic!("unknown scenario {name:?}; see `lr-bench --list`"));
-    let opts = PlanOpts {
-        scenarios: vec![sc],
-        max_threads: max_threads_from_env(),
-        jobs: std::env::var("LR_JOBS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(default_jobs),
-        json: JsonPolicy::from_env(),
-        record_dir: record_dir_from_env(),
-        ..PlanOpts::default()
-    };
-    let plan = build_plan(&opts);
-    let mut stdout = std::io::stdout();
-    run(&plan, &mut stdout);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,15 +403,14 @@ mod tests {
 
     #[test]
     fn jobs_clamp_respects_host_parallelism_budget() {
-        // Single-partition engine: jobs pass through untouched.
-        assert_eq!(clamp_jobs(8, 1, 8), 8);
-        assert_eq!(clamp_jobs(3, 1, 8), 3);
-        // 4 engine threads per cell on an 8-way host: at most 2 cells.
-        assert_eq!(clamp_jobs(8, 4, 8), 2);
-        // More partitions than host threads: serialize, never zero.
-        assert_eq!(clamp_jobs(8, 16, 8), 1);
-        assert_eq!(clamp_jobs(1, 4, 8), 1);
-        // Degenerate inputs stay sane.
-        assert_eq!(clamp_jobs(0, 0, 0), 1);
+        // Within the host's cores: jobs pass through untouched.
+        assert_eq!(clamp_jobs(8, 8), 8);
+        assert_eq!(clamp_jobs(3, 8), 3);
+        // More jobs than host cores: capped at the host.
+        assert_eq!(clamp_jobs(64, 2), 2);
+        assert_eq!(clamp_jobs(9, 8), 8);
+        // Degenerate inputs stay sane: never zero.
+        assert_eq!(clamp_jobs(0, 0), 1);
+        assert_eq!(clamp_jobs(4, 0), 1);
     }
 }

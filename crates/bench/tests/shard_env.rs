@@ -1,70 +1,44 @@
-//! `LR_ENGINE_SHARDS` selects the engine executor, never the results:
-//! the `lr-bench` binary run with 1 vs 4 engine partitions over
-//! deterministic sim scenarios must emit byte-identical stdout (rows,
-//! CSVX extras, everything). Subprocess-driven so the environment knob
-//! takes its real path through `engine_shards_from_env` and the sweep's
-//! oversubscription clamp.
+//! The sweep never runs more sim-cell workers than the host has cores:
+//! `lr-bench --jobs J` with J above host parallelism is clamped, with a
+//! warning naming both numbers. Subprocess-driven so the clamp takes
+//! its real path through `build_plan` and the binary's plan banner.
 
 use std::process::{Command, Output};
 
-fn bench(shards: &str, args: &[&str]) -> Output {
+fn bench(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_lr-bench"))
         .args(args)
         .env("LR_NO_JSON", "1")
-        .env("LR_ENGINE_SHARDS", shards)
         .output()
         .expect("lr-bench subprocess runs")
 }
 
-#[test]
-fn engine_shards_env_is_byte_invisible_in_sim_output() {
-    let args = [
-        "--scenario",
-        "fig2_stack,fig3_counter",
-        "--threads",
-        "2,4",
-        "--ops",
-        "6",
-        "--jobs",
-        "2",
-    ];
-    let s1 = bench("1", &args);
-    let s4 = bench("4", &args);
-    assert!(s1.status.success(), "shards-1 run failed: {s1:?}");
-    assert!(s4.status.success(), "shards-4 run failed: {s4:?}");
-    assert!(!s1.stdout.is_empty());
-    assert_eq!(
-        String::from_utf8_lossy(&s1.stdout),
-        String::from_utf8_lossy(&s4.stdout),
-        "LR_ENGINE_SHARDS leaked into simulated output"
-    );
-}
-
-/// `--jobs J` with `LR_ENGINE_SHARDS=N` is clamped so J×N never
-/// exceeds host parallelism — with a warning naming both numbers.
+/// `--jobs` one above host parallelism is clamped to host parallelism
+/// — with a warning naming both numbers.
 #[test]
 fn oversubscribing_jobs_are_clamped_with_warning() {
-    let out = bench(
-        "1000",
-        &[
-            "--scenario",
-            "fig2_stack",
-            "--threads",
-            "2",
-            "--ops",
-            "4",
-            "--jobs",
-            "64",
-        ],
-    );
+    let host = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let jobs = (host + 1).to_string();
+    let out = bench(&[
+        "--scenario",
+        "fig2_stack",
+        "--threads",
+        "2",
+        "--ops",
+        "4",
+        "--jobs",
+        &jobs,
+    ]);
     assert!(out.status.success(), "clamped run failed: {out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains("clamping --jobs 64 to 1"),
+        err.contains(&format!("clamping --jobs {jobs} to {host}")),
         "missing/incorrect clamp warning:\n{err}"
     );
     assert!(
-        err.contains("1 job(s)"),
+        err.contains(&format!("{host} job(s)")),
         "plan banner should show the clamped job count:\n{err}"
     );
 }

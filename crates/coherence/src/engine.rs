@@ -27,13 +27,12 @@
 //! eviction) are now follow-on messages ([`CohEvent::InvArrive`],
 //! [`CohEvent::DirUpdate`], [`CohEvent::Writeback`],
 //! [`CohEvent::SharerDrop`], [`CohEvent::BackInval`]) carrying a real
-//! NoC latency. Because that latency is at least
-//! [`CoherenceEngine::noc_min_lookahead`], a partitioned executor can
-//! commit events of different tiles concurrently within that window.
+//! NoC latency, so every cross-tile effect is a message with its own
+//! delivery time.
 //!
 //! In debug and `strict-invariants` builds, every tile-slice access
 //! asserts that the touched tile equals the executing tile, so a
-//! handler that silently reaches across partitions fails loudly.
+//! handler that silently reaches across tiles fails loudly.
 //!
 //! The directory is therefore *eventually consistent* with the L1s:
 //! while a `DirUpdate`/`Writeback`/`SharerDrop` rides the NoC, the
@@ -142,33 +141,20 @@ pub struct CoherenceEngine {
     l2: Vec<SetAssocCache<DirEntry>>,
     /// Per-tile mutable protocol state.
     tiles: Vec<TileState>,
-    /// Per-tile machine-level counters (`cores` left empty; merged by
-    /// [`CoherenceEngine::stats`]). A relaxed executor accumulates into
-    /// these concurrently — one block per partition-owned tile — and
-    /// the deterministic tile-order merge reproduces the sequential
-    /// totals exactly.
-    tile_stats: Vec<MachineStats>,
+    /// Machine-level counters (`cores` left empty; filled in by
+    /// [`CoherenceEngine::stats`]).
+    totals: MachineStats,
     /// Per-core counters (tile i owns entry i).
     core_stats: Vec<CoreStats>,
-    /// Gate for mid-flight per-line invariant sweeps (`strict-invariants`
-    /// builds): the sweep reads every tile's L1, which is only safe when
-    /// partitions are synchronized, so the relaxed executor turns it off
-    /// and relies on the quiescence check.
-    #[cfg_attr(not(feature = "strict-invariants"), allow(dead_code))]
-    strict_at: bool,
-}
-
-thread_local! {
-    /// Tile executing the current entry point (access/handle/...) on
-    /// *this host thread*. Thread-local rather than an engine field
-    /// because the relaxed executor calls entry points for different
-    /// partitions concurrently from different host threads: a shared
-    /// cursor would race (clobbering the ownership guard and routing
-    /// [`CoherenceEngine::cur_stats`] to the wrong tile block). Each
-    /// entry point sets it before touching tile state and never calls
-    /// back into another entry point, so the value is stable for the
-    /// dynamic extent of each call.
-    static CUR: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Tile executing the current entry point (access/handle/...): the
+    /// tile-ownership guard's reference. Each entry point sets it
+    /// before touching tile state and never calls back into another
+    /// entry point, so it is stable for the extent of each call.
+    #[cfg_attr(
+        not(any(debug_assertions, feature = "strict-invariants")),
+        allow(dead_code)
+    )]
+    cur: usize,
 }
 
 impl CoherenceEngine {
@@ -193,45 +179,11 @@ impl CoherenceEngine {
             tiles: (0..cfg.num_cores)
                 .map(|_| TileState::new(cfg.num_cores))
                 .collect(),
-            tile_stats: (0..cfg.num_cores).map(|_| MachineStats::new(0)).collect(),
+            totals: MachineStats::new(0),
             core_stats: vec![CoreStats::default(); cfg.num_cores],
-            strict_at: true,
+            cur: 0,
             cfg: cfg.clone(),
         }
-    }
-
-    /// Conservative-PDES lookahead of the coherence protocol: the minimum
-    /// latency of any cross-tile NoC message. Every event this engine
-    /// schedules for a tile other than the one currently executing rides
-    /// at least one such message, so a partitioned event loop may run
-    /// each partition this many cycles ahead of the others' clocks
-    /// without risking a causality violation.
-    pub fn noc_min_lookahead(&self) -> Cycle {
-        self.mesh.min_cross_latency()
-    }
-
-    /// Per-partition-pair refinement of
-    /// [`CoherenceEngine::noc_min_lookahead`]: entry `[p][q]` is the
-    /// minimum NoC latency of any message from a tile of partition `p`
-    /// to a tile of partition `q` under `map`. Mesh-distant — and above
-    /// all cross-socket — partition pairs admit much wider safe windows
-    /// than the global minimum over all tile pairs. The matrix is
-    /// symmetric (the mesh metric is), as the sharded queue requires.
-    pub fn pair_lookahead(&self, map: &lr_sim_core::PartitionMap) -> Vec<Vec<Cycle>> {
-        let parts = map.partitions();
-        let mut blocks = vec![(usize::MAX, 0usize); parts];
-        for t in 0..map.tiles() {
-            let b = &mut blocks[map.partition_of(t)];
-            b.0 = b.0.min(t);
-            b.1 = b.1.max(t + 1);
-        }
-        (0..parts)
-            .map(|p| {
-                (0..parts)
-                    .map(|q| self.mesh.min_latency_between(blocks[p], blocks[q]))
-                    .collect()
-            })
-            .collect()
     }
 
     /// Home tile (L2 slice / directory) of a line: stride interleaving
@@ -257,9 +209,9 @@ impl CoherenceEngine {
     fn assert_tile(&self, t: CoreId) {
         #[cfg(any(debug_assertions, feature = "strict-invariants"))]
         assert!(
-            t.idx() == CUR.get(),
+            t.idx() == self.cur,
             "tile-ownership violated: handler executing at tile {} touched tile {}",
-            CUR.get(),
+            self.cur,
             t.idx()
         );
         #[cfg(not(any(debug_assertions, feature = "strict-invariants")))]
@@ -296,11 +248,6 @@ impl CoherenceEngine {
         &mut self.tiles[t.idx()]
     }
 
-    /// The executing tile's stats block.
-    fn cur_stats(&mut self) -> &mut MachineStats {
-        &mut self.tile_stats[CUR.get()]
-    }
-
     fn cstats(&mut self, c: CoreId) -> &mut CoreStats {
         self.assert_tile(c);
         &mut self.core_stats[c.idx()]
@@ -308,24 +255,20 @@ impl CoherenceEngine {
 
     // ---- public surface --------------------------------------------------
 
-    /// Protocol statistics: per-tile blocks merged in tile order plus the
-    /// per-core counters. The merge is deterministic and identical to
-    /// sequential accumulation, so relaxed and lockstep executors report
-    /// byte-identical numbers.
+    /// Protocol statistics: the machine-level counters plus the
+    /// per-core counters.
     pub fn stats(&self) -> MachineStats {
-        let mut m = MachineStats::new(0);
-        m.cores = self.core_stats.clone();
-        for t in &self.tile_stats {
-            m.merge_from(t);
+        MachineStats {
+            cores: self.core_stats.clone(),
+            ..self.totals.clone()
         }
-        m
     }
 
     /// Mutable per-core counters, for the machine layer's own per-core
     /// accounting (instructions, ops, lease counters). An entry point:
     /// the machine calls it while executing an event at `c`'s tile.
     pub fn core_stats_mut(&mut self, c: CoreId) -> &mut CoreStats {
-        CUR.set(c.idx());
+        self.cur = c.idx();
         &mut self.core_stats[c.idx()]
     }
 
@@ -353,7 +296,7 @@ impl CoherenceEngine {
     /// pinned so they cannot be picked as eviction victims). An entry
     /// point: executes at `core`'s tile.
     pub fn pin(&mut self, core: CoreId, line: LineAddr, pinned: bool) -> bool {
-        CUR.set(core.idx());
+        self.cur = core.idx();
         self.l1[core.idx()].set_pinned(line, pinned)
     }
 
@@ -365,13 +308,6 @@ impl CoherenceEngine {
     /// Number of in-flight transactions (for quiescence checks).
     pub fn in_flight(&self) -> usize {
         self.tiles.iter().map(|t| t.outstanding as usize).sum()
-    }
-
-    /// Enable/disable mid-flight per-line invariant sweeps (on by
-    /// default; the relaxed executor disables them because the sweep
-    /// reads other partitions' L1s).
-    pub fn set_strict_at(&mut self, on: bool) {
-        self.strict_at = on;
     }
 
     /// Uncharged control-message latency between two tiles (for machine
@@ -414,7 +350,7 @@ impl CoherenceEngine {
         let hops = self.mesh.flit_hops(from, to, class);
         let socket_hops = self.mesh.socket_flit_hops(from, to, class);
         let lat = self.mesh.latency(from, to, class);
-        let ts = self.cur_stats();
+        let ts = &mut self.totals;
         match class {
             MsgClass::Control => ts.msgs_control += 1,
             MsgClass::Data => ts.msgs_data += 1,
@@ -447,7 +383,7 @@ impl CoherenceEngine {
         regular: bool,
         ctx: &mut dyn CohContext,
     ) -> Option<Cycle> {
-        CUR.set(core.idx());
+        self.cur = core.idx();
         if lease_intent {
             debug_assert!(kind.needs_exclusive(), "leases demand Exclusive state");
         }
@@ -513,7 +449,7 @@ impl CoherenceEngine {
     /// engine passed to [`CohContext::schedule`]): the handler executes
     /// there and only mutates that tile's state.
     pub fn handle(&mut self, now: Cycle, at: CoreId, ev: CohEvent, ctx: &mut dyn CohContext) {
-        CUR.set(at.idx());
+        self.cur = at.idx();
         match ev {
             CohEvent::DirArrive(x) => self.dir_arrive(now, x, ctx),
             CohEvent::ProbeArrive(x, o) => {
@@ -541,7 +477,7 @@ impl CoherenceEngine {
         line: LineAddr,
         ctx: &mut dyn CohContext,
     ) {
-        CUR.set(core.idx());
+        self.cur = core.idx();
         self.l1_mut(core).set_pinned(line, false);
         if let Some(p) = self.tile_mut(core).stalled.remove(&line) {
             self.cstats(core).probe_queued_cycles += now - p.since;
@@ -575,7 +511,7 @@ impl CoherenceEngine {
             x.enq_time = now;
             ch.queue.push_back(x);
             let qlen = ch.queue.len();
-            let ts = self.cur_stats();
+            let ts = &mut self.totals;
             if qlen > ts.max_dir_queue_len {
                 ts.max_dir_queue_len = qlen;
             }
@@ -622,12 +558,10 @@ impl CoherenceEngine {
         // landed before its grant. Only victim messages may still be in
         // flight, so the sweep checks the single-writer property only.
         #[cfg(feature = "strict-invariants")]
-        if self.strict_at {
-            self.check_invariants_at(line);
-        }
+        self.check_invariants_at(line);
         if let Some(next) = next {
             self.tile_mut(home).channels.get_mut(&line).unwrap().active = Some(next);
-            self.cur_stats().dir_queue_wait_cycles += now - next.enq_time;
+            self.totals.dir_queue_wait_cycles += now - next.enq_time;
             if ctx.tracing() {
                 ctx.trace(
                     now,
@@ -648,13 +582,13 @@ impl CoherenceEngine {
             core, line, kind, ..
         } = x;
         let home = self.home_of(line);
-        self.cur_stats().dir_requests += 1;
+        self.totals.dir_requests += 1;
         let mut t = now + self.cfg.l2_tag_latency;
 
         if self.l2_mut(home).touch(line).is_some() {
-            self.cur_stats().l2_hits += 1;
+            self.totals.l2_hits += 1;
         } else {
-            self.cur_stats().l2_misses += 1;
+            self.totals.l2_misses += 1;
             t += self.cfg.dram_latency;
             self.l2_install(now, home, line, ctx);
         }
@@ -682,7 +616,7 @@ impl CoherenceEngine {
                     let ack = self.msg(s, core, MsgClass::Control);
                     inv_lat = inv_lat.max(to_s + ack);
                     ctx.schedule(to_s, s, CohEvent::InvArrive { line });
-                    self.cur_stats().invalidations += 1;
+                    self.totals.invalidations += 1;
                 }
                 let rows = &mut self.tile_mut(home).rows;
                 let upgrade = rows.contains(row, core);
@@ -768,7 +702,7 @@ impl CoherenceEngine {
             // A probe is actually delivered to the owner only on this
             // path; the evicted-owner bounce below serves from home
             // without one, so counting in `service` would overcount.
-            self.cur_stats().owner_probes += 1;
+            self.totals.owner_probes += 1;
             self.cstats(o).probes_received += 1;
             if ctx.tracing() {
                 ctx.trace(
@@ -1047,9 +981,7 @@ impl CoherenceEngine {
         // checked at this transaction's DirUnlock, once the in-flight
         // DirUpdate has landed).
         #[cfg(feature = "strict-invariants")]
-        if self.strict_at {
-            self.check_invariants_at(line);
-        }
+        self.check_invariants_at(line);
         let done = now + self.cfg.l1_latency;
         if lease_intent {
             ctx.exclusive_granted(core, line, done);
@@ -1137,7 +1069,7 @@ impl CoherenceEngine {
                         next = s.idx() + 1;
                         let lat = self.msg(home, s, MsgClass::Control);
                         ctx.schedule(lat, s, CohEvent::BackInval { line: vline });
-                        self.cur_stats().invalidations += 1;
+                        self.totals.invalidations += 1;
                     }
                     self.tile_mut(home).rows.free(row);
                 }
@@ -1146,7 +1078,7 @@ impl CoherenceEngine {
                     ctx.schedule(lat, o, CohEvent::BackInval { line: vline });
                     // The victim's dirty data heads home alongside.
                     let _ = self.msg(o, home, MsgClass::Data);
-                    self.cur_stats().invalidations += 1;
+                    self.totals.invalidations += 1;
                 }
             },
             Inserted::AllPinned => {

@@ -25,13 +25,13 @@
 //! Every handler executes at exactly one tile (the event's delivery
 //! tile, passed to [`CoherenceEngine::handle`]) and mutates only that
 //! tile's slice of engine state — its L1, its L2/directory slice, its
-//! channel table, its stats block. Any protocol step that needs to
-//! touch a *different* tile is split off as a follow-on [`CohEvent`]
-//! scheduled with a real NoC latency. This is what lets a partitioned
-//! executor commit events of different tiles concurrently: there is no
-//! hidden shared state between handlers, only messages. In debug (and
-//! `strict-invariants`) builds every tile-slice access is checked
-//! against the executing tile and panics on a violation.
+//! channel table. Any protocol step that needs to touch a *different*
+//! tile is split off as a follow-on [`CohEvent`] scheduled with a real
+//! NoC latency: there is no hidden shared state between handlers, only
+//! messages, so every cross-tile ordering the protocol relies on is
+//! visible as message timing. In debug (and `strict-invariants`) builds
+//! every tile-slice access is checked against the executing tile and
+//! panics on a violation.
 
 mod dir;
 mod engine;
@@ -188,7 +188,8 @@ pub enum DirState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Xact {
     /// Unique id: `(requesting core << 48) | per-core issue counter`.
-    /// Tile-local stamping keeps ids identical across executors.
+    /// Stamped at the requesting tile, so an id depends only on that
+    /// tile's own history.
     pub id: u64,
     /// Caller token handed back via [`CohContext::xact_completed`].
     pub token: u64,
@@ -290,11 +291,9 @@ pub trait CohContext {
     ///
     /// `dest` is the tile where the event is *delivered*: the home tile
     /// for directory events, the owning core for probes, the requesting
-    /// core for grants, the copy holder for invalidations. A partitioned
-    /// executor routes the event to the partition owning that tile and
-    /// must hand it back via [`CoherenceEngine::handle`] with the same
-    /// tile; a single-queue embedder still must preserve `dest` for the
-    /// `handle` call.
+    /// core for grants, the copy holder for invalidations. The embedder
+    /// must hand the event back via [`CoherenceEngine::handle`] with the
+    /// same tile.
     fn schedule(&mut self, delay: Cycle, dest: CoreId, ev: CohEvent);
 
     /// A memory transaction issued with token `token` finished at `now`.

@@ -69,7 +69,7 @@ fn seeds_default() -> u64 {
 
 fn campaign(base: u64, seeds: u64, repro_dir: &std::path::Path) -> ! {
     println!(
-        "lr-fuzz: campaign seeds {base}..{} — 3 variants x 2 queue stores x 2 shard counts per seed",
+        "lr-fuzz: campaign seeds {base}..{} — 3 variants x 2 queue stores per seed",
         base + seeds
     );
     let mut total_ops = 0u64;
@@ -221,7 +221,7 @@ fn main() {
             Ok((files, ops)) => {
                 println!(
                     "lr-fuzz: corpus clean — {files} trace(s), {ops} ops replayed byte-identical \
-                     under heap and wheel queues x shard counts 1/2/4 x lockstep and relaxed commit"
+                     under heap and wheel queues"
                 );
                 return;
             }

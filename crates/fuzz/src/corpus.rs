@@ -119,11 +119,8 @@ pub fn persist_repro(dir: &Path, name: &str, trace: &MachineTrace) -> Result<Pat
     Ok(path)
 }
 
-/// Replay every `*.lrt` in `dir` under **both** event-queue stores
-/// crossed with engine partition counts 1, 2, and 4 crossed with both
-/// commit modes (lockstep global order and relaxed safe-window
-/// batches). Returns `(files, total replayed ops)` or the list of
-/// failures.
+/// Replay every `*.lrt` in `dir` under **both** event-queue stores.
+/// Returns `(files, total replayed ops)` or the list of failures.
 pub fn check(dir: &Path) -> Result<(usize, u64), Vec<String>> {
     let paths = match lr_replay::trace_files(dir) {
         Ok(p) => p,
@@ -139,19 +136,9 @@ pub fn check(dir: &Path) -> Result<(usize, u64), Vec<String>> {
             lr_machine::EventQueueKind::Heap,
             lr_machine::EventQueueKind::Wheel,
         ] {
-            for shards in [1usize, 2, 4] {
-                for commit in [
-                    lr_machine::CommitMode::Lockstep,
-                    lr_machine::CommitMode::Relaxed,
-                ] {
-                    let variant = lr_replay::EngineVariant::queue(queue)
-                        .with_shards(shards)
-                        .with_commit(commit);
-                    match lr_replay::verify_file_with(path, variant) {
-                        Ok(v) => total_ops += v.ops,
-                        Err(e) => failures.push(format!("{} [{variant}]: {e}", path.display())),
-                    }
-                }
+            match lr_replay::verify_file(path, Some(queue)) {
+                Ok(v) => total_ops += v.ops,
+                Err(e) => failures.push(format!("{} [{queue:?}]: {e}", path.display())),
             }
         }
     }

@@ -6,10 +6,8 @@
 //!   deliberately hostile lease configuration (tight expiry, tiny
 //!   lease table, prioritization on);
 //! * **engine variant**: every recorded trace is re-verified under
-//!   both event-queue stores (binary heap and timing wheel) crossed
-//!   with engine partition counts 1 and 2
-//!   ([`lr_replay::verify_with_variant`]) — all must be
-//!   byte-identical;
+//!   both event-queue stores, binary heap and timing wheel
+//!   ([`lr_replay::verify_with_queue`]) — both must be byte-identical;
 //! * **record/replay**: the engine-only replay must reproduce every
 //!   per-op reply, the final `MachineStats` JSON, and the event count.
 //!
@@ -19,7 +17,7 @@
 
 use crate::gen::{GenOp, Workload, DLOCK_ALGO_COUNT, MAX_COUNTERS};
 use lr_ds::ReplicatedCounter;
-use lr_machine::{Addr, CommitMode, EventQueueKind, Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{Addr, EventQueueKind, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::tracefmt::{self, MachineTrace};
 use lr_sim_core::CoherenceProtocol;
 use lr_sync::{CsApply, Dlock, DlockHandle, DLOCK_ALGOS};
@@ -358,23 +356,9 @@ pub fn check_variant(w: &Workload, variant: Variant) -> Result<usize, Finding> {
     }
     let mut verified = 0;
     for queue in [EventQueueKind::Heap, EventQueueKind::Wheel] {
-        // Shard count × commit mode: one partition pins the sequential
-        // baseline, two partitions exercise the cross-partition merge
-        // in lockstep order and the safe-window batch executor in
-        // relaxed order (the campaign's cheap subset; the corpus gate
-        // sweeps the full matrix).
-        for (shards, commit) in [
-            (1usize, CommitMode::Lockstep),
-            (2, CommitMode::Lockstep),
-            (2, CommitMode::Relaxed),
-        ] {
-            let variant = lr_replay::EngineVariant::queue(queue)
-                .with_shards(shards)
-                .with_commit(commit);
-            lr_replay::verify_with_variant(&out.trace, variant)
-                .map_err(|d| finding("divergence", format!("[{variant}] {d}")))?;
-            verified += 1;
-        }
+        lr_replay::verify_with_queue(&out.trace, Some(queue))
+            .map_err(|d| finding("divergence", format!("[{queue:?}] {d}")))?;
+        verified += 1;
     }
     Ok(verified)
 }
@@ -445,8 +429,7 @@ pub struct SeedReport {
     pub seed: u64,
     pub threads: usize,
     pub ops: u64,
-    /// Replay verifications performed (variants × queue stores ×
-    /// engine shard counts).
+    /// Replay verifications performed (variants × queue stores).
     pub verified: usize,
 }
 

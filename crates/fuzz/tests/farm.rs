@@ -14,25 +14,20 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 }
 
 /// The first campaign seeds pass the whole check matrix (3 variants ×
-/// 2 queue stores × 3 shard/commit combos + invariants + decode
-/// robustness).
+/// 2 queue stores + invariants + decode robustness).
 #[test]
 fn first_seeds_are_clean() {
     for seed in 0..6 {
         let r = check_seed(seed).unwrap_or_else(|f| panic!("{f}"));
-        assert_eq!(
-            r.verified, 18,
-            "3 variants x 2 queues x 3 shard/commit combos"
-        );
+        assert_eq!(r.verified, 6, "3 variants x 2 queues");
         assert!(r.ops > 0);
     }
 }
 
-/// Satellite of the relaxed-commit work: every checked-in corpus trace
-/// replays clean under the full engine-variant matrix with the
-/// tile-ownership assertions compiled in (debug/test builds always
-/// carry them; the CI `strict-invariants` pass re-runs this test with
-/// the mid-flight single-writer sweeps enabled as well). This drives
+/// Every checked-in corpus trace replays clean under both event-queue
+/// stores with the tile-ownership assertions compiled in (debug/test
+/// builds always carry them; the CI `strict-invariants` pass re-runs
+/// this test with the mid-flight single-writer sweeps enabled as well). This drives
 /// the message-passing coherence handlers through every recorded
 /// protocol interleaving while proving no handler ever touches another
 /// tile's slice.
@@ -101,8 +96,7 @@ fn tamper_coordinates_match_divergence_report() {
 }
 
 /// Corpus regeneration is deterministic (two regens are byte-identical)
-/// and the result passes the corpus gate under both queue stores and
-/// every engine shard count.
+/// and the result passes the corpus gate under both queue stores.
 #[test]
 fn corpus_regen_is_deterministic_and_checkable() {
     let (a, b) = (scratch("corpus_a"), scratch("corpus_b"));

@@ -35,10 +35,7 @@ pub mod rendezvous;
 
 pub use barrier::SimBarrier;
 pub use ctx::ThreadCtx;
-pub use machine::{
-    engine_commit_from_env, engine_shards_from_env, CommitMode, EngineInfo, Machine, OpSource,
-    RecordedRun, SourceAbort, ThreadFn, TraceOutput,
-};
+pub use machine::{EngineInfo, Machine, OpSource, RecordedRun, SourceAbort, ThreadFn, TraceOutput};
 pub use proto::{AddrVec, Op, Reply, Request};
 pub use rendezvous::configured_spin_rounds;
 

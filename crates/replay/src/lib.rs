@@ -24,8 +24,8 @@
 //! traces compact cross-version regression oracles.
 
 use lr_machine::{
-    CommitMode, Cycle, EventQueueKind, LineAddr, Machine, MachineStats, Op, OpSource, Reply,
-    Request, SystemConfig,
+    Cycle, EventQueueKind, LineAddr, Machine, MachineStats, Op, OpSource, Reply, Request,
+    SystemConfig,
 };
 use lr_sim_core::tracefmt::{self, MachineTrace, TraceError, TraceOp};
 use lr_sim_mem::SimMemory;
@@ -182,64 +182,12 @@ impl OpSource for ReplaySource<'_> {
     }
 }
 
-/// Execution-engine variant to replay under: the event-queue store,
-/// the engine-partition (shard) count, and the commit mode (lockstep
-/// global order vs relaxed safe-window batches), `None` = the process
-/// defaults. Every variant is required to reproduce a recording
-/// byte-for-byte — each axis is an independent A/B oracle over the same
-/// trace (the fuzz farm's heap-vs-wheel, shards-1/2/4, and
-/// lockstep-vs-relaxed axes).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineVariant {
-    pub queue: Option<EventQueueKind>,
-    pub shards: Option<usize>,
-    pub commit: Option<CommitMode>,
-}
-
-impl EngineVariant {
-    /// Pin the event-queue store.
-    pub fn queue(kind: EventQueueKind) -> Self {
-        EngineVariant {
-            queue: Some(kind),
-            ..Default::default()
-        }
-    }
-
-    /// Pin the engine-partition count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
-    /// Pin the executor commit mode.
-    pub fn with_commit(mut self, commit: CommitMode) -> Self {
-        self.commit = Some(commit);
-        self
-    }
-}
-
-impl std::fmt::Display for EngineVariant {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.queue {
-            Some(k) => write!(f, "{k:?}")?,
-            None => write!(f, "default")?,
-        }
-        if let Some(s) = self.shards {
-            write!(f, "/shards-{s}")?;
-        }
-        if let Some(c) = self.commit {
-            write!(f, "/{c}")?;
-        }
-        Ok(())
-    }
-}
-
 /// Re-drive a recorded trace through the engine under its recorded
 /// configuration, single-threaded. Matches unless the trace was
 /// tampered with or the protocol stack's behaviour changed since the
 /// recording.
 pub fn replay(trace: &MachineTrace) -> ReplayOutcome {
-    replay_inner(trace, trace.config.clone(), EngineVariant::default())
+    replay_inner(trace, trace.config.clone(), None)
 }
 
 /// Like [`replay`] but pinned to a specific event-queue store. The two
@@ -247,23 +195,21 @@ pub fn replay(trace: &MachineTrace) -> ReplayOutcome {
 /// divergence here is an event-queue bug — this is the fuzz farm's
 /// heap-vs-wheel axis.
 pub fn replay_with_queue(trace: &MachineTrace, queue: EventQueueKind) -> ReplayOutcome {
-    replay_inner(trace, trace.config.clone(), EngineVariant::queue(queue))
-}
-
-/// Like [`replay`] but pinned to a full engine variant (queue store ×
-/// partition count).
-pub fn replay_with_variant(trace: &MachineTrace, variant: EngineVariant) -> ReplayOutcome {
-    replay_inner(trace, trace.config.clone(), variant)
+    replay_inner(trace, trace.config.clone(), Some(queue))
 }
 
 /// Like [`replay`] but under an explicit configuration — deliberately
 /// divergent configs (say, a different `dram_latency`) are how the
 /// divergence detector itself is exercised.
 pub fn replay_with_config(trace: &MachineTrace, cfg: SystemConfig) -> ReplayOutcome {
-    replay_inner(trace, cfg, EngineVariant::default())
+    replay_inner(trace, cfg, None)
 }
 
-fn replay_inner(trace: &MachineTrace, cfg: SystemConfig, variant: EngineVariant) -> ReplayOutcome {
+fn replay_inner(
+    trace: &MachineTrace,
+    cfg: SystemConfig,
+    queue: Option<EventQueueKind>,
+) -> ReplayOutcome {
     if trace.cores.is_empty()
         || cfg.num_cores < 1
         || cfg.num_cores > lr_sim_core::MAX_CORES
@@ -283,14 +229,8 @@ fn replay_inner(trace: &MachineTrace, cfg: SystemConfig, variant: EngineVariant)
         }));
     }
     let mut machine = Machine::new(cfg).with_trace(REPLAY_TRACE_DEPTH);
-    if let Some(kind) = variant.queue {
+    if let Some(kind) = queue {
         machine = machine.with_event_queue(kind);
-    }
-    if let Some(shards) = variant.shards {
-        machine = machine.with_engine_shards(shards);
-    }
-    if let Some(commit) = variant.commit {
-        machine = machine.with_commit_mode(commit);
     }
     machine.setup(|m| *m = SimMemory::restore(&trace.mem));
     let mut source = ReplaySource::new(trace);
@@ -351,21 +291,7 @@ pub fn verify_with_queue(
     trace: &MachineTrace,
     queue: Option<EventQueueKind>,
 ) -> Result<MachineStats, Box<Divergence>> {
-    verify_with_variant(
-        trace,
-        EngineVariant {
-            queue,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`verify`] pinned to a full engine variant (queue store × shards).
-pub fn verify_with_variant(
-    trace: &MachineTrace,
-    variant: EngineVariant,
-) -> Result<MachineStats, Box<Divergence>> {
-    let outcome = replay_with_variant(trace, variant);
+    let outcome = replay_inner(trace, trace.config.clone(), queue);
     match outcome {
         ReplayOutcome::Matched { stats, events, .. } => {
             let json = stats.to_json();
@@ -456,20 +382,8 @@ pub struct VerifiedTrace {
 /// printable error — the shared engine behind `lr-bench --replay`,
 /// `lr-replay`, and the fuzz farm's corpus gate.
 pub fn verify_file(path: &Path, queue: Option<EventQueueKind>) -> Result<VerifiedTrace, String> {
-    verify_file_with(
-        path,
-        EngineVariant {
-            queue,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`verify_file`] pinned to a full engine variant (queue store ×
-/// partition count) — the corpus gate's shard axis.
-pub fn verify_file_with(path: &Path, variant: EngineVariant) -> Result<VerifiedTrace, String> {
     let trace = read_trace(path).map_err(|e| e.to_string())?;
-    let stats = verify_with_variant(&trace, variant).map_err(|d| d.to_string())?;
+    let stats = verify_with_queue(&trace, queue).map_err(|d| d.to_string())?;
     Ok(VerifiedTrace {
         ops: trace.total_ops(),
         cores: trace.cores.len(),
@@ -508,25 +422,14 @@ mod tests {
         machine.run_recorded(progs).trace
     }
 
-    /// The shard and commit axes of the replay oracle: one recording
-    /// must verify byte-for-byte under every (queue store × partition
-    /// count × commit mode) engine variant. Replay is engine-only
-    /// (Source mode), so lockstep exercises the sharded queue's
-    /// sequential merge path and relaxed exercises the safe-window
-    /// batch executor.
+    /// The engine's one variant axis, the event-queue store: one
+    /// recording must verify byte-for-byte under the heap and the wheel.
     #[test]
     fn replay_is_byte_identical_for_every_engine_variant() {
         let trace = record_contended(4, 30);
-        for shards in [1usize, 2, 4] {
-            for queue in [EventQueueKind::Heap, EventQueueKind::Wheel] {
-                for commit in [CommitMode::Lockstep, CommitMode::Relaxed] {
-                    let v = EngineVariant::queue(queue)
-                        .with_shards(shards)
-                        .with_commit(commit);
-                    verify_with_variant(&trace, v)
-                        .unwrap_or_else(|d| panic!("variant {v} diverged: {d}"));
-                }
-            }
+        for queue in [EventQueueKind::Heap, EventQueueKind::Wheel] {
+            verify_with_queue(&trace, Some(queue))
+                .unwrap_or_else(|d| panic!("{queue:?} replay diverged: {d}"));
         }
     }
 

@@ -1,8 +1,10 @@
 //! Deterministic discrete-event queue.
 //!
-//! Events are ordered by `(time, sequence)`: ties at the same simulated
-//! cycle are broken by insertion order, which makes every simulation run
-//! with a fixed seed bit-for-bit reproducible.
+//! Events are ordered by `(time, sequence)`. [`EventQueue::push_at`]
+//! numbers pushes in insertion order, so ties at the same simulated
+//! cycle pop FIFO; the machine's store supplies canonical keys through
+//! [`EventQueue::push_at_seq`] instead. Either way every simulation run
+//! with a fixed seed is bit-for-bit reproducible.
 //!
 //! Two interchangeable backing stores implement that contract:
 //!
@@ -168,15 +170,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `payload` at `time` under a caller-supplied sequence
-    /// key instead of the internal counter. This is the partition
-    /// building block of [`crate::shard::ShardedQueue`]: partition
-    /// queues carry *canonical* keys (`src-tile` ∥ per-src-tile push
-    /// counter) so that ordering by `(time, seq)` is a pure function of
-    /// simulated causality — independent of which executor popped the
-    /// events in which interleaving. Keys must be unique per `(time,
-    /// seq)` pair but need *not* arrive in ascending order; both stores
-    /// order same-time entries by key (the wheel via ordered slot
-    /// insertion).
+    /// key instead of the internal counter. The engine's store
+    /// ([`crate::shard::ShardedQueue`]) passes *canonical* keys
+    /// (`src-tile` ∥ per-src-tile push counter), so that ordering by
+    /// `(time, seq)` is a pure function of per-tile causality. Keys
+    /// must be unique per `(time, seq)` pair but need *not* arrive in
+    /// ascending order; both stores order same-time entries by key (the
+    /// wheel via ordered slot insertion).
     pub fn push_at_seq(&mut self, time: Cycle, seq: u64, payload: E) {
         assert!(
             time >= self.now,
@@ -215,13 +215,6 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest event, advancing the simulated clock to it.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        self.pop_keyed()
-            .map(|(time, _seq, payload)| (time, payload))
-    }
-
-    /// [`EventQueue::pop`] additionally exposing the popped sequence
-    /// number (the merge key of [`crate::shard::ShardedQueue`]).
-    pub(crate) fn pop_keyed(&mut self) -> Option<(Cycle, u64, E)> {
         let (time, seq, payload) = match &mut self.store {
             Store::Heap(h) => h.pop().map(|Reverse(e)| (e.time, e.seq, e.payload)),
             Store::Wheel(w) => w.pop(),
@@ -249,23 +242,18 @@ impl<E> EventQueue<E> {
             }
             self.last = Some((time, seq));
         }
+        #[cfg(not(feature = "strict-invariants"))]
+        let _ = seq;
         self.now = time;
         self.processed += 1;
-        Some((time, seq, payload))
+        Some((time, payload))
     }
 
     /// Peek at the timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<Cycle> {
-        self.peek_key().map(|(t, _)| t)
-    }
-
-    /// `(time, seq)` of the event [`EventQueue::pop`] would return next
-    /// — the per-partition head key that [`crate::shard::ShardedQueue`]
-    /// merges on.
-    pub(crate) fn peek_key(&self) -> Option<(Cycle, u64)> {
         match &self.store {
-            Store::Heap(h) => h.peek().map(|Reverse(e)| (e.time, e.seq)),
-            Store::Wheel(w) => w.peek_key(),
+            Store::Heap(h) => h.peek().map(|Reverse(e)| e.time),
+            Store::Wheel(w) => w.peek_time(),
         }
     }
 }

@@ -20,7 +20,7 @@ pub mod zipf;
 pub use config::{CoherenceProtocol, EnergyModel, LeaseConfig, SystemConfig};
 pub use event::{EventQueue, EventQueueKind};
 pub use rng::SplitMix64;
-pub use shard::{PartitionMap, ShardedQueue};
+pub use shard::ShardedQueue;
 pub use stats::{CoreStats, MachineStats};
 pub use trace::{TraceAccess, TraceEvent, TraceRecord, TraceRing, TraceSink};
 pub use tracefmt::{config_fingerprint, MachineTrace, MemImage, OpRecord, TraceError, TraceOp};

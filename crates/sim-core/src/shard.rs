@@ -1,312 +1,85 @@
-//! Conservatively-synchronized partitioned event queue (PDES core).
-//!
-//! [`ShardedQueue`] splits the simulation's event space into N
-//! partitions sharded by tile (core + L1 + lease table + L2 home
-//! slice). Each partition owns a full [`EventQueue`] instance — its own
-//! timing wheel, its own local clock — and cross-partition scheduling
-//! travels through per-source *outboxes* of envelopes, exactly like NoC
-//! messages crossing a partition boundary.
-//!
-//! # Determinism: canonical keys
+//! The engine's event store: one [`EventQueue`] ordered by
+//! `(time, canonical per-tile key)`.
 //!
 //! Every push is stamped with a **canonical key**
-//! `(src_tile << 48) | per-src-tile push counter`. Unlike the global
-//! commit-order sequence counter this queue used before the relaxed
-//! executor existed, the canonical key is a pure function of simulated
-//! causality: tile `s`'s pushes happen during `s`'s own events, in
-//! `s`'s deterministic event order, in fixed code order within each
-//! event — so the k-th push by tile `s` is *the same push* no matter
-//! which executor (sequential, lockstep-threaded, or relaxed-windowed)
-//! ran the simulation or how many partitions it used. Merging heads by
-//! `(time, key)` therefore yields one total order that every executor
-//! reproduces byte-for-byte. (A commit-order counter cannot provide
-//! this: under parallel commit the interleaving — and hence the counter
-//! values — would differ run to run.)
+//! `(src_tile << 48) | per-src-tile push counter`. Tile `s`'s pushes
+//! happen during `s`'s own events, in `s`'s deterministic event order,
+//! in fixed code order within each event, so the k-th push by tile `s`
+//! is a pure function of simulated causality at that tile. Ties at one
+//! cycle therefore break by source tile first, then by that tile's own
+//! push order — not by global insertion order.
 //!
-//! # Lookahead, safe windows, and relaxed commit
+//! The key stays for two reasons. It is the order every recorded
+//! result was produced under: the queue's own insertion counter breaks
+//! same-cycle ties differently, so switching to it would move every
+//! golden, corpus trace and `BENCH_*.json`. And because it depends only
+//! on per-tile causality, it keeps event order independent of how the
+//! tiles' handlers are scheduled — the property the per-tile handler
+//! discipline of `lr-coherence` is written against.
 //!
-//! Cross-partition events model NoC messages, so their delivery time is
-//! at least `lookahead` — the minimum cross-tile message latency
-//! ([`Mesh::min_cross_latency`] in `lr-sim-noc`) — after the send
-//! instant. That yields the classic conservative-PDES guarantee used by
-//! the safe-window batch API: after [`ShardedQueue::begin_window`]
-//! computes, per partition `p`, the exclusive bound
-//! `min(min over q ≠ p of head(q) + lookahead, head(p) + 2·lookahead)`,
-//! every event of `p` strictly below that bound — including events `p`
-//! schedules for itself *during* the window — can be committed without
-//! observing any other partition. Why: any event that can still arrive
-//! at `p` traces back, through one or more cross-partition hops (each
-//! adding at least `lookahead`), to an event queued somewhere right
-//! now. A chain starting at another partition `q` reaches `p` no
-//! earlier than `head(q) + lookahead`; a chain starting at `p` itself
-//! must leave and return — two hops — so no earlier than
-//! `head(p) + 2·lookahead`. (Bounding only by the *other* partitions'
-//! heads is unsound: a partition that runs far ahead while seeding a
-//! neighbour with an early event can receive the echo below its own
-//! high-water mark two windows later.) The relaxed
-//! executor in `lr-machine` commits each partition's window batch on
-//! its own host thread with no turn mutex, synchronizing only at
-//! window boundaries where outboxes are drained and the next bounds
-//! computed. The lockstep executor keeps popping the exact global
-//! `(time, key)` order through [`ShardedQueue::pop_global`] — both
-//! produce identical per-tile event sequences, hence identical
-//! simulated results.
+//! A key can land at the current cycle *below* the last popped key (a
+//! lower source tile pushing for the same cycle after a higher tile's
+//! event ran); both backing stores order it correctly, and
+//! `EventQueue`'s ordering audit restarts there.
+//!
+//! The type keeps its partitioned-era name and constructor signature
+//! because the host-performance benchmark (`perfbench/`) calls them;
+//! exactly one partition is supported.
 
 use crate::event::{EventQueue, EventQueueKind};
 use crate::Cycle;
 
-/// Static tile → partition assignment: contiguous, balanced blocks of
-/// tiles (`partition_of(t) = t·P/T`), so L2 home slices of neighbouring
-/// tiles stay co-resident and the mesh distance between partitions is
-/// the distance between tile blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionMap {
-    tiles: usize,
-    parts: usize,
-}
-
-impl PartitionMap {
-    /// A map of `tiles` tiles onto `parts` partitions. `parts` is
-    /// clamped to `1..=tiles`: more partitions than tiles would leave
-    /// some empty, fewer than one is meaningless.
-    pub fn new(tiles: usize, parts: usize) -> Self {
-        assert!(tiles >= 1, "partition map over zero tiles");
-        PartitionMap {
-            tiles,
-            parts: parts.clamp(1, tiles),
-        }
-    }
-
-    /// The partition owning `tile`.
-    #[inline]
-    pub fn partition_of(&self, tile: usize) -> usize {
-        debug_assert!(tile < self.tiles, "tile {tile} out of range");
-        tile * self.parts / self.tiles
-    }
-
-    /// Number of partitions (≥ 1, ≤ tiles).
-    #[inline]
-    pub fn partitions(&self) -> usize {
-        self.parts
-    }
-
-    /// Number of tiles.
-    #[inline]
-    pub fn tiles(&self) -> usize {
-        self.tiles
-    }
-}
-
 /// Bits of the canonical key holding the per-src-tile push counter.
 const KEY_CTR_BITS: u32 = 48;
 
-/// One cross-partition message: payload plus its canonical merge key.
-#[derive(Debug)]
-struct Envelope<E> {
-    time: Cycle,
-    key: u64,
-    payload: E,
-}
-
-/// N per-partition [`EventQueue`]s + deterministic merge + safe-window
-/// batch API (module docs).
+/// One [`EventQueue`] plus the per-tile push counters that stamp
+/// canonical keys (module docs).
 #[derive(Debug)]
 pub struct ShardedQueue<E> {
-    parts: Vec<EventQueue<E>>,
-    /// Cross-partition sends staged per *source* partition
-    /// (`outboxes[src][dest]`): each source partition appends only to
-    /// its own row, so relaxed window execution writes disjoint slots.
-    outboxes: Vec<Vec<Vec<Envelope<E>>>>,
-    map: PartitionMap,
-    /// Minimum cross-partition delivery delay (NoC lookahead).
-    lookahead: Cycle,
-    /// Optional distance-aware refinement: `pair_la[p][q]` is the
-    /// minimum delivery delay of any event sent from a tile of
-    /// partition `p` to a tile of partition `q` (mesh-distant and
-    /// cross-socket pairs admit wider safe windows than the global
-    /// minimum). Symmetric, and never below `lookahead`. `None` falls
-    /// back to the uniform scalar everywhere.
-    pair_la: Option<Vec<Vec<Cycle>>>,
+    queue: EventQueue<E>,
     /// Per-src-tile push counters — the low 48 key bits.
     tile_ctr: Vec<u64>,
-    now: Cycle,
-    /// Cross-partition pushes, counted per source partition (so relaxed
-    /// windows touch disjoint counters); summed on read.
-    cross: Vec<u64>,
-    /// Events that satisfied the conservative safe-time test at
-    /// `pop_global`: `t < min(other partitions' heads) + lookahead`.
-    concurrent_events: u64,
-    /// Lookahead windows crossed (safe-time epoch counter,
-    /// `pop_global` path).
-    epochs: u64,
-    epoch_horizon: Cycle,
-    /// Relaxed-commit observability: non-empty per-partition window
-    /// batches committed, and the largest single batch. Maintained at
-    /// window boundaries from per-partition processed() deltas.
-    commit_batches: u64,
-    max_batch: u64,
-    last_processed: Vec<u64>,
 }
 
 impl<E> ShardedQueue<E> {
-    /// A sharded queue over `tiles` tiles in `parts` partitions (see
-    /// [`PartitionMap::new`] for clamping), every partition backed by
-    /// `kind`, with the given cross-partition `lookahead`.
-    pub fn with_kind(kind: EventQueueKind, tiles: usize, parts: usize, lookahead: Cycle) -> Self {
-        let map = PartitionMap::new(tiles, parts);
-        let n = map.partitions();
+    /// A queue over `tiles` tiles backed by `kind`. `parts` must be 1;
+    /// `lookahead` is ignored (both are kept for the benchmark's calls).
+    pub fn with_kind(kind: EventQueueKind, tiles: usize, parts: usize, _lookahead: Cycle) -> Self {
+        assert_eq!(parts, 1, "the event store has exactly one partition");
+        assert!(tiles >= 1, "event store over zero tiles");
         ShardedQueue {
-            parts: (0..n).map(|_| EventQueue::with_kind(kind)).collect(),
-            outboxes: (0..n)
-                .map(|_| (0..n).map(|_| Vec::new()).collect())
-                .collect(),
-            map,
-            lookahead,
-            pair_la: None,
+            queue: EventQueue::with_kind(kind),
             tile_ctr: vec![0; tiles],
-            now: 0,
-            cross: vec![0; n],
-            concurrent_events: 0,
-            epochs: 0,
-            epoch_horizon: 0,
-            commit_batches: 0,
-            max_batch: 0,
-            last_processed: vec![0; n],
         }
     }
 
-    /// The backing store every partition uses.
-    pub fn kind(&self) -> EventQueueKind {
-        self.parts[0].kind()
-    }
-
-    /// The tile → partition map.
-    pub fn map(&self) -> PartitionMap {
-        self.map
-    }
-
-    /// Global simulated time: the last `pop_global` timestamp, or the
-    /// latest window base under relaxed commit.
+    /// Current simulated time: the timestamp of the last popped event.
     #[inline]
     pub fn now(&self) -> Cycle {
-        self.now
+        self.queue.now()
     }
 
-    /// Total events popped across all partitions.
+    /// Total events popped so far.
     #[inline]
     pub fn processed(&self) -> u64 {
-        self.parts.iter().map(EventQueue::processed).sum()
+        self.queue.processed()
     }
 
-    /// Pending events across partitions and outboxes.
+    /// Pending events.
     pub fn len(&self) -> usize {
-        self.parts.iter().map(EventQueue::len).sum::<usize>()
-            + self
-                .outboxes
-                .iter()
-                .flat_map(|row| row.iter().map(Vec::len))
-                .sum::<usize>()
+        self.queue.len()
     }
 
-    /// True if no events are pending anywhere.
+    /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.queue.is_empty()
     }
 
-    /// Cross-partition pushes so far (outbox traffic).
-    #[inline]
-    pub fn cross_events(&self) -> u64 {
-        self.cross.iter().sum()
-    }
-
-    /// Events that passed the conservative safe-time test (see field).
-    #[inline]
-    pub fn concurrent_events(&self) -> u64 {
-        self.concurrent_events
-    }
-
-    /// Safe-time epochs (lookahead windows) crossed so far.
-    #[inline]
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
-    /// Non-empty per-partition window batches committed so far
-    /// (relaxed executor; 0 under pure `pop_global` driving).
-    #[inline]
-    pub fn commit_batches(&self) -> u64 {
-        self.commit_batches
-    }
-
-    /// Largest single per-partition window batch committed so far.
-    #[inline]
-    pub fn max_batch(&self) -> u64 {
-        self.max_batch
-    }
-
-    /// The cross-partition lookahead this queue enforces.
-    #[inline]
-    pub fn lookahead(&self) -> Cycle {
-        self.lookahead
-    }
-
-    /// Install a per-partition-pair lookahead matrix (see the `pair_la`
-    /// field). Entries must be symmetric and at least the scalar
-    /// `lookahead` — the matrix *refines* the global bound, it never
-    /// relaxes it. Symmetry matters for soundness: the echo bound below
-    /// collapses any multi-hop return chain `p → a → … → b → p` to
-    /// `min over q of la[p][q] + la[q][p]` via the triangle inequality
-    /// of the underlying NoC metric, which requires `la[p][q] ==
-    /// la[q][p]`.
-    pub fn set_pair_lookahead(&mut self, la: Vec<Vec<Cycle>>) {
-        let n = self.parts.len();
-        assert_eq!(la.len(), n, "pair-lookahead matrix must be {n}x{n}");
-        for (p, row) in la.iter().enumerate() {
-            assert_eq!(row.len(), n, "pair-lookahead matrix must be {n}x{n}");
-            for (q, &v) in row.iter().enumerate() {
-                if p != q {
-                    assert!(
-                        v >= self.lookahead,
-                        "pair lookahead [{p}][{q}]={v} below scalar {}",
-                        self.lookahead
-                    );
-                    assert_eq!(v, la[q][p], "pair lookahead must be symmetric");
-                }
-            }
-        }
-        self.pair_la = Some(la);
-    }
-
-    /// The installed pair matrix, if any.
-    pub fn pair_lookahead(&self) -> Option<&[Vec<Cycle>]> {
-        self.pair_la.as_deref()
-    }
-
-    /// Minimum delivery delay for a `src` partition → `dest` partition
-    /// event (`src != dest`).
-    #[inline]
-    fn la_between(&self, src: usize, dest: usize) -> Cycle {
-        match &self.pair_la {
-            Some(m) => m[src][dest],
-            None => self.lookahead,
-        }
-    }
-
-    /// Schedule `payload` at `time` for the partition owning
-    /// `dest_tile`, pushed by the handler of an event at tile
-    /// `src_tile` whose timestamp is `send_now` (pre-run setup passes
-    /// `src_tile == dest_tile`, `send_now == 0`).
-    ///
-    /// The push is stamped with the canonical key derived from
-    /// `src_tile` (module docs). Same-partition pushes go straight into
-    /// the owner's queue; cross-partition pushes are staged in the
-    /// source partition's outbox — so concurrent window execution
-    /// touches only source-partition-owned state — and delivered at the
-    /// next merge point ([`ShardedQueue::pop_global`] or
-    /// [`ShardedQueue::begin_window`]). Cross-partition sends must
-    /// honour the lookahead (debug-asserted — in the machine every such
-    /// push rides a NoC message whose latency is at least the
-    /// lookahead).
+    /// Schedule `payload` at `time` for `dest_tile`, pushed by the
+    /// handler of an event at tile `src_tile` whose timestamp is
+    /// `send_now` (pre-run setup passes `src_tile == dest_tile`,
+    /// `send_now == 0`). The push is stamped with the canonical key
+    /// derived from `src_tile` (module docs).
     pub fn push(
         &mut self,
         src_tile: usize,
@@ -319,8 +92,10 @@ impl<E> ShardedQueue<E> {
             time >= send_now,
             "event scheduled in the past: t={time} < send time {send_now}"
         );
-        let src = self.map.partition_of(src_tile);
-        let dest = self.map.partition_of(dest_tile);
+        debug_assert!(
+            dest_tile < self.tile_ctr.len(),
+            "tile {dest_tile} out of range"
+        );
         let ctr = self.tile_ctr[src_tile];
         self.tile_ctr[src_tile] = ctr + 1;
         assert!(
@@ -328,197 +103,13 @@ impl<E> ShardedQueue<E> {
             "canonical key counter overflow at tile {src_tile}"
         );
         let key = ((src_tile as u64) << KEY_CTR_BITS) | ctr;
-        if src == dest {
-            self.parts[dest].push_at_seq(time, key, payload);
-        } else {
-            debug_assert!(
-                time >= send_now + self.la_between(src, dest),
-                "cross-partition event violates lookahead: t={} < send={} + lookahead={} \
-                 (partition {src} -> {dest})",
-                time,
-                send_now,
-                self.la_between(src, dest),
-            );
-            self.cross[src] += 1;
-            self.outboxes[src][dest].push(Envelope { time, key, payload });
-        }
+        self.queue.push_at_seq(time, key, payload);
     }
 
-    /// Drain every outbox into its destination partition queue. The
-    /// per-queue ordered insertion restores `(time, key)` order no
-    /// matter the interleaving the envelopes were staged in.
-    fn deliver_all(&mut self) {
-        for src in 0..self.outboxes.len() {
-            for dest in 0..self.outboxes[src].len() {
-                if self.outboxes[src][dest].is_empty() {
-                    continue;
-                }
-                let mut staged = std::mem::take(&mut self.outboxes[src][dest]);
-                for env in staged.drain(..) {
-                    self.parts[dest].push_at_seq(env.time, env.key, env.payload);
-                }
-                // Hand the (empty, capacity-retaining) buffer back.
-                self.outboxes[src][dest] = staged;
-            }
-        }
-    }
-
-    /// The partition owning the globally earliest pending event, after
-    /// delivering pending outbox traffic. `None` iff the queue is
-    /// drained. Used by the lockstep threaded executor to decide whose
-    /// turn it is without consuming the event.
-    pub fn head_partition(&mut self) -> Option<usize> {
-        self.deliver_all();
-        self.min_head().map(|(_, _, p)| p)
-    }
-
-    /// Minimum partition head by `(time, key)` (outboxes must already
-    /// be drained).
-    fn min_head(&self) -> Option<(Cycle, u64, usize)> {
-        let mut best: Option<(Cycle, u64, usize)> = None;
-        for (p, q) in self.parts.iter().enumerate() {
-            if let Some((t, s)) = q.peek_key() {
-                if best.is_none_or(|(bt, bs, _)| (t, s) < (bt, bs)) {
-                    best = Some((t, s, p));
-                }
-            }
-        }
-        best
-    }
-
-    /// Pop the globally earliest event: deliver outbox traffic, merge
-    /// partition heads by `(time, key)`, pop from the winning
-    /// partition. Returns `(time, partition, payload)`. This is the
-    /// sequential/lockstep driving mode; [`ShardedQueue::begin_window`]
-    /// + [`ShardedQueue::pop_bounded`] is the relaxed one.
+    /// Pop the earliest event by `(time, key)`. Returns
+    /// `(time, partition, payload)`; the partition is always 0.
     pub fn pop_global(&mut self) -> Option<(Cycle, usize, E)> {
-        self.deliver_all();
-        let (_, _, p) = self.min_head()?;
-        // Safe-time test against the other partitions *before* popping.
-        let mut other_min: Option<Cycle> = None;
-        for (q, queue) in self.parts.iter().enumerate() {
-            if q != p {
-                if let Some(t) = queue.peek_time() {
-                    other_min = Some(other_min.map_or(t, |m| m.min(t)));
-                }
-            }
-        }
-        let (time, _key, payload) = self.parts[p].pop_keyed().expect("head vanished");
-        self.now = time;
-        // Epoch/horizon sums must not wrap the 64-bit clock: a wrap
-        // would silently misclassify every later event, so fail loudly
-        // (same discipline as `EventQueue::push_after`).
-        if let Some(m) = other_min {
-            let horizon = m.checked_add(self.lookahead).unwrap_or_else(|| {
-                panic!(
-                    "protocol invariant violated at cycle {time}: safe-time horizon \
-                     {m} + lookahead {} overflows the simulated clock",
-                    self.lookahead
-                )
-            });
-            if time < horizon {
-                self.concurrent_events += 1;
-            }
-        }
-        if time >= self.epoch_horizon {
-            self.epochs += 1;
-            self.epoch_horizon = time.checked_add(self.lookahead.max(1)).unwrap_or_else(|| {
-                panic!(
-                    "protocol invariant violated at cycle {time}: epoch horizon \
-                     {time} + lookahead {} overflows the simulated clock",
-                    self.lookahead.max(1)
-                )
-            });
-        }
-        Some((time, p, payload))
-    }
-
-    /// Open the next safe window: deliver all staged cross-partition
-    /// traffic, account the batches of the window just closed, and
-    /// return per-partition **exclusive** bounds — partition `p` may
-    /// commit every event strictly below `bounds[p]` without observing
-    /// any other partition (module docs prove why, including events `p`
-    /// pushes to itself mid-window and multi-window echo chains).
-    /// Returns `None` when fully drained.
-    ///
-    /// Progress: the partition holding the globally earliest event `t`
-    /// always has `bounds[p] ≥ t + lookahead.max(1) > t`.
-    pub fn begin_window(&mut self) -> Option<Vec<Cycle>> {
-        self.deliver_all();
-        // Account the window that just finished executing.
-        for (p, q) in self.parts.iter().enumerate() {
-            let batch = q.processed() - self.last_processed[p];
-            if batch > 0 {
-                self.commit_batches += 1;
-                self.max_batch = self.max_batch.max(batch);
-                self.last_processed[p] = q.processed();
-            }
-        }
-        let heads: Vec<Option<Cycle>> = self.parts.iter().map(EventQueue::peek_time).collect();
-        if heads.iter().all(Option::is_none) {
-            return None;
-        }
-        // Each opened window is one epoch of the conservative clock
-        // (the lockstep driver counts epochs by lookahead horizon in
-        // `pop_global` instead).
-        self.epochs += 1;
-        let la = self.lookahead.max(1);
-        let add = |t: Cycle, d: Cycle| {
-            t.checked_add(d).unwrap_or_else(|| {
-                panic!(
-                    "protocol invariant violated: window bound {t} + lookahead {d} \
-                     overflows the simulated clock"
-                )
-            })
-        };
-        let n = self.parts.len();
-        let bounds = (0..n)
-            .map(|p| {
-                // Every event that can still reach `p` traces back
-                // (through zero or more same-partition steps and one or
-                // more cross-partition hops, a `q → r` hop adding at
-                // least `la_between(q, r)`) to an event queued *right
-                // now*. A chain originating at another partition `q`
-                // needs one hop costing at least `la_between(q, p)` —
-                // multi-hop detours through some partition `r` cost
-                // `la(q,r) + la(r,p) ≥ la(q,p)` because the matrix
-                // entries are minima of a shortest-path NoC metric
-                // (triangle inequality). A chain originating at `p`
-                // itself must leave and come back — the cheapest
-                // round-trip over any intermediate. `p`'s purely local
-                // future is ordered by its own queue and needs no
-                // bound.
-                let one_hop = (0..n)
-                    .filter(|&q| q != p)
-                    .filter_map(|q| Some(add(heads[q]?, self.la_between(q, p).max(1))))
-                    .min();
-                let echo = (0..n)
-                    .filter(|&q| q != p)
-                    .map(|q| self.la_between(p, q).max(1) + self.la_between(q, p).max(1))
-                    .min()
-                    .unwrap_or(2 * la);
-                let two_hop = heads[p].map(|h| add(h, echo));
-                one_hop
-                    .into_iter()
-                    .chain(two_hop)
-                    .min()
-                    .unwrap_or(Cycle::MAX)
-            })
-            .collect();
-        self.now = heads.iter().flatten().copied().min().unwrap_or(self.now);
-        Some(bounds)
-    }
-
-    /// Pop partition `p`'s next event if its timestamp is strictly
-    /// below `bound` (the partition's current window bound). Safe to
-    /// call concurrently for *distinct* partitions through the relaxed
-    /// executor's shared-core cell: it touches only `parts[p]`.
-    pub fn pop_bounded(&mut self, p: usize, bound: Cycle) -> Option<(Cycle, E)> {
-        let (t, _) = self.parts[p].peek_key()?;
-        if t >= bound {
-            return None;
-        }
-        self.parts[p].pop_keyed().map(|(t, _, e)| (t, e))
+        self.queue.pop().map(|(time, payload)| (time, 0, payload))
     }
 }
 
@@ -527,56 +118,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn partition_map_is_contiguous_balanced_and_surjective() {
-        for tiles in 1..=16usize {
-            for parts in 1..=tiles {
-                let m = PartitionMap::new(tiles, parts);
-                assert_eq!(m.partitions(), parts);
-                let assignment: Vec<usize> = (0..tiles).map(|t| m.partition_of(t)).collect();
-                // Monotone (contiguous blocks) and surjective.
-                assert!(assignment.windows(2).all(|w| w[0] <= w[1]));
-                assert_eq!(assignment[0], 0);
-                assert_eq!(assignment[tiles - 1], parts - 1);
-                // Balanced: block sizes differ by at most one.
-                let mut sizes = vec![0usize; parts];
-                for &p in &assignment {
-                    sizes[p] += 1;
-                }
-                let (mn, mx) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(mx - mn <= 1, "tiles={tiles} parts={parts} sizes={sizes:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn oversized_partition_count_clamps_to_tiles() {
-        let m = PartitionMap::new(4, 64);
-        assert_eq!(m.partitions(), 4);
-        assert_eq!(PartitionMap::new(4, 0).partitions(), 1);
-    }
-
-    #[test]
-    fn pop_global_merges_partitions_in_time_key_order() {
-        let mut q: ShardedQueue<&str> = ShardedQueue::with_kind(EventQueueKind::Wheel, 4, 2, 0);
-        // Setup pushes: src == dest.
-        q.push(0, 0, 0, 5, "a@p0");
-        q.push(3, 0, 3, 5, "b@p1");
-        q.push(0, 0, 0, 2, "c@p0");
-        assert_eq!(q.pop_global(), Some((2, 0, "c@p0")));
-        // Same time across partitions: canonical key (src tile, then
-        // per-tile counter) decides — tile 0 before tile 3.
-        assert_eq!(q.pop_global(), Some((5, 0, "a@p0")));
-        assert_eq!(q.pop_global(), Some((5, 1, "b@p1")));
-        assert_eq!(q.pop_global(), None);
-        assert_eq!(q.processed(), 3);
-    }
-
-    #[test]
     fn canonical_key_orders_same_time_pushes_by_src_tile_not_push_order() {
         // Tile 2 pushes first, tile 1 second, both for tile 0 at t=5:
-        // the merged order must be tile 1's event first, regardless of
-        // push (commit) order — this is what makes the order invariant
-        // under relaxed parallel commit.
+        // tile 1's event must pop first, regardless of push order.
         for kind in [EventQueueKind::Heap, EventQueueKind::Wheel] {
             let mut q: ShardedQueue<&str> = ShardedQueue::with_kind(kind, 4, 1, 1);
             q.push(2, 0, 0, 5, "from-tile-2");
@@ -587,218 +131,8 @@ mod tests {
     }
 
     #[test]
-    fn cross_partition_pushes_travel_through_the_outbox() {
-        let mut q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Wheel, 4, 4, 2);
-        q.push(0, 0, 0, 0, 0);
-        assert_eq!(q.pop_global(), Some((0, 0, 0)));
-        // Handler of tile 0's event at t=0 schedules for tile 3
-        // (partition 3): staged in the outbox, honouring lookahead 2.
-        q.push(0, 0, 3, 2, 1);
-        q.push(0, 0, 0, 1, 2); // same-partition: direct, no envelope
-        assert_eq!(q.cross_events(), 1);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop_global(), Some((1, 0, 2)));
-        assert_eq!(q.pop_global(), Some((2, 3, 1)));
-        assert_eq!(q.cross_events(), 1);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "violates lookahead")]
-    fn lookahead_violation_is_caught_in_debug() {
-        let mut q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Wheel, 4, 4, 10);
-        q.push(0, 0, 0, 0, 0);
-        q.pop_global();
-        q.push(0, 0, 3, 5, 1); // 5 < send(0) + lookahead(10)
-    }
-
-    #[test]
-    fn single_partition_never_envelopes() {
-        let mut q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Heap, 8, 1, 3);
-        q.push(0, 0, 0, 0, 0);
-        q.pop_global();
-        for tile in 0..8 {
-            q.push(0, 0, tile, 1, tile as u32);
-        }
-        assert_eq!(q.cross_events(), 0);
-        for tile in 0..8 {
-            assert_eq!(q.pop_global(), Some((1, 0, tile as u32)));
-        }
-    }
-
-    #[test]
-    fn safe_time_accounting_counts_concurrent_events() {
-        let mut q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Wheel, 2, 2, 100);
-        // Heads 10 (p0) and 50 (p1): both within one lookahead window.
-        q.push(0, 0, 0, 10, 0);
-        q.push(1, 0, 1, 50, 1);
-        q.pop_global(); // t=10: other head 50, 10 < 50+100 → concurrent
-        q.pop_global(); // t=50: no other head → not counted
-        assert_eq!(q.concurrent_events(), 1);
-        assert!(q.epochs() >= 1);
-    }
-
-    #[test]
-    fn windowed_draining_matches_pop_global_per_partition() {
-        // Drive two identically-filled queues, one via pop_global, one
-        // via the window API; per-partition pop sequences must agree.
-        let build = || {
-            let mut q: ShardedQueue<u64> = ShardedQueue::with_kind(EventQueueKind::Wheel, 4, 2, 2);
-            let mut x = 0x9E3779B97F4A7C15u64;
-            for i in 0..200u64 {
-                x = x.rotate_left(7).wrapping_mul(0xBF58476D1CE4E5B9);
-                let tile = (x % 4) as usize;
-                let t = (x >> 8) % 64;
-                q.push(tile, 0, tile, t, i);
-            }
-            q
-        };
-        let mut seq_order: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); 2];
-        let mut a = build();
-        while let Some((t, p, v)) = a.pop_global() {
-            seq_order[p].push((t, v));
-        }
-        let mut win_order: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); 2];
-        let mut b = build();
-        while let Some(bounds) = b.begin_window() {
-            for p in 0..2 {
-                while let Some((t, v)) = b.pop_bounded(p, bounds[p]) {
-                    win_order[p].push((t, v));
-                }
-            }
-        }
-        assert_eq!(seq_order, win_order);
-        assert_eq!(a.processed(), b.processed());
-        assert!(b.commit_batches() > 0);
-        assert!(b.max_batch() > 0);
-        assert_eq!(a.commit_batches(), 0);
-    }
-
-    #[test]
-    fn window_bounds_guarantee_progress_and_batch_accounting() {
-        let mut q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Wheel, 2, 2, 5);
-        q.push(0, 0, 0, 10, 0);
-        q.push(1, 0, 1, 10, 1);
-        let bounds = q.begin_window().unwrap();
-        // Both heads at 10: each bound is the *other* head + lookahead.
-        assert_eq!(bounds, vec![15, 15]);
-        assert_eq!(q.pop_bounded(0, bounds[0]), Some((10, 0)));
-        assert_eq!(q.pop_bounded(0, bounds[0]), None);
-        assert_eq!(q.pop_bounded(1, bounds[1]), Some((10, 1)));
-        // Next window: previous batches accounted, queue drained.
-        assert!(q.begin_window().is_none());
-        assert_eq!(q.commit_batches(), 2);
-        assert_eq!(q.max_batch(), 1);
-    }
-
-    #[test]
-    fn uniform_pair_matrix_reproduces_scalar_bounds() {
-        let mut q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Wheel, 2, 2, 5);
-        q.set_pair_lookahead(vec![vec![0, 5], vec![5, 0]]);
-        q.push(0, 0, 0, 10, 0);
-        q.push(1, 0, 1, 10, 1);
-        let bounds = q.begin_window().unwrap();
-        // Identical to the scalar case above: the matrix refines, and a
-        // uniform matrix refines to exactly the old behaviour.
-        assert_eq!(bounds, vec![15, 15]);
-    }
-
-    #[test]
-    fn distance_aware_matrix_widens_bounds() {
-        // Two "far" partitions (e.g. different sockets): pair delay 40
-        // vs global scalar 2 — each side's safe window grows 40/2 = 20x.
-        let mut q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Wheel, 4, 2, 2);
-        q.set_pair_lookahead(vec![vec![0, 40], vec![40, 0]]);
-        q.push(0, 0, 0, 10, 0);
-        q.push(2, 0, 2, 10, 1);
-        let bounds = q.begin_window().unwrap();
-        assert_eq!(bounds, vec![50, 50]);
-        q.pop_bounded(0, bounds[0]);
-        q.pop_bounded(1, bounds[1]);
-        // Echo bound: with only p0 populated, p0's own events are safe
-        // up to head + cheapest round-trip (40 out + 40 back), while p1
-        // is bounded by p0's head one hop away.
-        q.push(0, 50, 0, 60, 2);
-        let bounds = q.begin_window().unwrap();
-        assert_eq!(bounds, vec![60 + 80, 60 + 40]);
-    }
-
-    #[test]
-    fn windowed_draining_matches_pop_global_with_pair_matrix() {
-        // Non-uniform symmetric matrix (entries ≥ scalar 2, triangle
-        // inequality holds); handlers push cross-partition follow-ups
-        // honouring the per-pair delay. Window-driven execution must
-        // produce the same per-partition pop sequences as pop_global.
-        let la = [
-            vec![0, 2, 7, 9],
-            vec![2, 0, 5, 7],
-            vec![7, 5, 0, 2],
-            vec![9, 7, 2, 0],
-        ];
-        let build = || {
-            let mut q: ShardedQueue<u64> = ShardedQueue::with_kind(EventQueueKind::Wheel, 4, 4, 2);
-            q.set_pair_lookahead(la.to_vec());
-            for tile in 0..4usize {
-                q.push(tile, 0, tile, tile as Cycle, tile as u64);
-            }
-            q
-        };
-        let follow = |q: &mut ShardedQueue<u64>, t: Cycle, p: usize, v: u64| {
-            if v < 60 {
-                let dest = ((v * 7 + 3) % 4) as usize;
-                let delay = la[p][dest].max(1) + v % 3;
-                q.push(p, t, dest, t + delay, v + 4);
-            }
-        };
-        let mut seq_order: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); 4];
-        let mut a = build();
-        while let Some((t, p, v)) = a.pop_global() {
-            seq_order[p].push((t, v));
-            follow(&mut a, t, p, v);
-        }
-        let mut win_order: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); 4];
-        let mut b = build();
-        while let Some(bounds) = b.begin_window() {
-            for p in 0..4 {
-                while let Some((t, v)) = b.pop_bounded(p, bounds[p]) {
-                    win_order[p].push((t, v));
-                    follow(&mut b, t, p, v);
-                }
-            }
-        }
-        assert_eq!(seq_order, win_order);
-        assert_eq!(a.processed(), b.processed());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "violates lookahead")]
-    fn pair_lookahead_violation_is_caught_in_debug() {
-        // 5 cycles satisfies the scalar lookahead (2) but not the pair
-        // entry (9): the per-pair debug assert must fire.
-        let mut q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Wheel, 4, 4, 2);
-        q.set_pair_lookahead(vec![
-            vec![0, 2, 7, 9],
-            vec![2, 0, 5, 7],
-            vec![7, 5, 0, 2],
-            vec![9, 7, 2, 0],
-        ]);
-        q.push(0, 0, 0, 0, 0);
-        q.pop_global();
-        q.push(0, 0, 3, 5, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "symmetric")]
-    fn asymmetric_pair_matrix_is_rejected() {
-        let mut q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Wheel, 2, 2, 1);
-        q.set_pair_lookahead(vec![vec![0, 3], vec![4, 0]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "below scalar")]
-    fn pair_matrix_below_scalar_is_rejected() {
-        let mut q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Wheel, 2, 2, 5);
-        q.set_pair_lookahead(vec![vec![0, 3], vec![3, 0]]);
+    #[should_panic(expected = "exactly one partition")]
+    fn more_than_one_partition_is_rejected() {
+        let _q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Wheel, 4, 2, 1);
     }
 }

@@ -138,11 +138,9 @@ impl MachineStats {
     /// Merge another machine-level stats block into this one: scalar
     /// counters add, `max_dir_queue_len` takes the max, and per-core
     /// counters merge index-wise (an empty `cores` vec on either side
-    /// contributes nothing — per-tile partial blocks carry scalars
-    /// only). Merging per-partition partials in fixed tile order is
-    /// deterministic because every counter update is commutative and
-    /// associative over `u64`/`max`, so the merged block is
-    /// byte-identical to sequential accumulation.
+    /// contributes nothing). Every counter update is commutative and
+    /// associative over `u64`/`max`, so merging partial blocks in any
+    /// order is byte-identical to sequential accumulation.
     pub fn merge_from(&mut self, o: &MachineStats) {
         self.total_cycles = self.total_cycles.max(o.total_cycles);
         self.dir_requests += o.dir_requests;
@@ -351,8 +349,8 @@ mod tests {
 
     #[test]
     fn merge_from_is_order_independent_and_matches_sequential() {
-        // Simulate per-partition partial blocks (scalars only, empty
-        // cores) merged into a base block, vs accumulating the same
+        // Partial blocks (scalars only, empty cores) merged into a
+        // base block, vs accumulating the same
         // updates sequentially into one block.
         let mk = |d, h, q: usize| MachineStats {
             dir_requests: d,

@@ -15,20 +15,13 @@
 //!
 //! The word store is paged ([`PAGE_WORDS`] words per page) rather than one
 //! flat `Vec`: absent pages read as zero. Pages hang off a fixed-shape
-//! two-level radix of atomic pointers (root → chunk → page) so that the
-//! relaxed PDES executor's partition threads can fault pages in
-//! concurrently — installation is a zeroed-page compare-and-swap, which is
-//! winner-independent, and the radix never reallocates, so a mid-window
-//! read never races a table growth. Word reads and writes themselves are
-//! plain (non-atomic) accesses: the coherence protocol guarantees that a
-//! writable copy of a line is exclusive, so two partitions never touch the
-//! same word in the same safe window (see `lr-machine`'s relaxed-executor
-//! docs). Pages released by a dropped `SimMemory` park in a
-//! per-host-thread pool and are handed (re-zeroed) to the next `SimMemory`
-//! built on that thread — so a bench sweep running thousands of grid cells
-//! on a pool of worker threads stops paying one heap allocation per page
-//! per cell. The pool is bounded ([`POOL_MAX_PAGES`]); overflow pages are
-//! simply freed.
+//! two-level radix of owned slots (root → chunk → page), installed on
+//! first write; the radix never reallocates. Pages released by a dropped
+//! `SimMemory` park in a per-host-thread pool and are handed (re-zeroed)
+//! to the next `SimMemory` built on that thread — so a bench sweep running
+//! thousands of grid cells on a pool of worker threads stops paying one
+//! heap allocation per page per cell. The pool is bounded
+//! ([`POOL_MAX_PAGES`]); overflow pages are simply freed.
 //!
 //! ## Snapshot/restore
 //!
@@ -38,6 +31,8 @@
 //! that behaves identically — including the addresses future `malloc`
 //! calls return, because free-list stack order is preserved.
 
+#![forbid(unsafe_code)]
+
 mod alloc;
 
 pub use alloc::Allocator;
@@ -45,8 +40,6 @@ pub use alloc::Allocator;
 use lr_sim_core::tracefmt::MemImage;
 use lr_sim_core::{Addr, LINE_SIZE};
 use std::cell::RefCell;
-use std::ptr::null_mut;
-use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// Base of the simulated heap. Address 0 stays unmapped so that `Addr(0)`
 /// can serve as the null pointer.
@@ -78,13 +71,13 @@ type Page = Box<[u64; PAGE_WORDS]>;
 
 /// Middle radix level: page slots, installed on first touch.
 struct Chunk {
-    pages: [AtomicPtr<u64>; CHUNK_PAGES],
+    pages: [Option<Page>; CHUNK_PAGES],
 }
 
 impl Chunk {
     fn new() -> Box<Chunk> {
         Box::new(Chunk {
-            pages: std::array::from_fn(|_| AtomicPtr::new(null_mut())),
+            pages: std::array::from_fn(|_| None),
         })
     }
 }
@@ -125,10 +118,10 @@ pub fn pooled_pages() -> usize {
 
 /// Authoritative simulated memory: a paged, zero-initialized word store
 /// plus the heap allocator. Cheap to construct: the radix root is one
-/// 32 KiB null-pointer table, chunks and pages materialize on first
+/// 32 KiB table of empty slots, chunks and pages materialize on first
 /// write.
 pub struct SimMemory {
-    root: Box<[AtomicPtr<Chunk>]>,
+    root: Box<[Option<Box<Chunk>>]>,
     alloc: Allocator,
     /// Bump pointer of each socket arena (index = socket id; 0 unused —
     /// socket 0 is the flat heap). Lazily sized; 0 = arena untouched.
@@ -153,18 +146,11 @@ impl Drop for SimMemory {
     fn drop(&mut self) {
         // Park this memory's pages for the next simulation on this host
         // thread (a sweep cell's drop site and its successor's build
-        // site share the worker thread), then free the chunks.
-        for slot in self.root.iter() {
-            let chunk = slot.swap(null_mut(), Ordering::Acquire);
-            if chunk.is_null() {
-                continue;
-            }
-            let chunk = unsafe { Box::from_raw(chunk) };
-            for page in chunk.pages.iter() {
-                let p = page.swap(null_mut(), Ordering::Acquire);
-                if !p.is_null() {
-                    park_page(unsafe { Box::from_raw(p.cast::<[u64; PAGE_WORDS]>()) });
-                }
+        // site share the worker thread); the chunks are freed with the
+        // root.
+        for chunk in self.root.iter_mut().flatten() {
+            for page in chunk.pages.iter_mut().filter_map(Option::take) {
+                park_page(page);
             }
         }
     }
@@ -173,11 +159,8 @@ impl Drop for SimMemory {
 impl SimMemory {
     /// An empty memory with an empty heap.
     pub fn new() -> Self {
-        let root = (0..ROOT_SLOTS)
-            .map(|_| AtomicPtr::new(null_mut()))
-            .collect();
         SimMemory {
-            root,
+            root: std::iter::repeat_with(|| None).take(ROOT_SLOTS).collect(),
             alloc: Allocator::new(HEAP_BASE),
             socket_brk: Vec::new(),
         }
@@ -198,67 +181,39 @@ impl SimMemory {
         i
     }
 
-    /// Resident page holding word index `i`, or null.
+    /// Resident page holding word index `i`, if any.
     #[inline]
-    fn page_ptr(&self, i: usize) -> *mut u64 {
+    fn page(&self, i: usize) -> Option<&Page> {
         let pi = i / PAGE_WORDS;
-        let chunk = self.root[pi / CHUNK_PAGES].load(Ordering::Acquire);
-        if chunk.is_null() {
-            return null_mut();
-        }
-        unsafe { (*chunk).pages[pi % CHUNK_PAGES].load(Ordering::Acquire) }
+        self.root[pi / CHUNK_PAGES].as_ref()?.pages[pi % CHUNK_PAGES].as_ref()
+    }
+
+    /// Resident page holding word index `i`, if any, for writing.
+    #[inline]
+    fn page_mut(&mut self, i: usize) -> Option<&mut Page> {
+        let pi = i / PAGE_WORDS;
+        self.root[pi / CHUNK_PAGES].as_mut()?.pages[pi % CHUNK_PAGES].as_mut()
     }
 
     /// Resident page holding word index `i`, faulting the chunk and a
-    /// zeroed page in on first touch. Concurrent installs race benignly:
-    /// both candidates are zeroed, the compare-and-swap loser is parked
-    /// back in the pool, and every thread proceeds with the winner.
-    fn ensure_page(&self, i: usize) -> *mut u64 {
+    /// zeroed page in on first touch.
+    fn ensure_page(&mut self, i: usize) -> &mut Page {
         let pi = i / PAGE_WORDS;
-        let slot = &self.root[pi / CHUNK_PAGES];
-        let mut chunk = slot.load(Ordering::Acquire);
-        if chunk.is_null() {
-            let fresh = Box::into_raw(Chunk::new());
-            match slot.compare_exchange(null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => chunk = fresh,
-                Err(winner) => {
-                    drop(unsafe { Box::from_raw(fresh) });
-                    chunk = winner;
-                }
-            }
-        }
-        let pslot = unsafe { &(*chunk).pages[pi % CHUNK_PAGES] };
-        let mut page = pslot.load(Ordering::Acquire);
-        if page.is_null() {
-            let fresh = Box::into_raw(take_page()).cast::<u64>();
-            match pslot.compare_exchange(null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => page = fresh,
-                Err(winner) => {
-                    park_page(unsafe { Box::from_raw(fresh.cast::<[u64; PAGE_WORDS]>()) });
-                    page = winner;
-                }
-            }
-        }
-        page
+        let chunk = self.root[pi / CHUNK_PAGES].get_or_insert_with(Chunk::new);
+        chunk.pages[pi % CHUNK_PAGES].get_or_insert_with(take_page)
     }
 
     /// Read the 64-bit word at `addr` (8-byte aligned). Unwritten memory
     /// reads as zero.
     pub fn read_word(&self, addr: Addr) -> u64 {
         let i = Self::word_index(addr);
-        let page = self.page_ptr(i);
-        if page.is_null() {
-            0
-        } else {
-            unsafe { *page.add(i % PAGE_WORDS) }
-        }
+        self.page(i).map_or(0, |page| page[i % PAGE_WORDS])
     }
 
     /// Write the 64-bit word at `addr` (8-byte aligned).
     pub fn write_word(&mut self, addr: Addr, value: u64) {
         let i = Self::word_index(addr);
-        let page = self.ensure_page(i);
-        unsafe { *page.add(i % PAGE_WORDS) = value };
+        self.ensure_page(i)[i % PAGE_WORDS] = value;
     }
 
     /// Zero `[start, start + words)`; only touches resident pages
@@ -269,9 +224,8 @@ impl SimMemory {
         while i < end {
             let off = i % PAGE_WORDS;
             let run = (PAGE_WORDS - off).min(end - i);
-            let page = self.page_ptr(i);
-            if !page.is_null() {
-                unsafe { std::slice::from_raw_parts_mut(page.add(off), run) }.fill(0);
+            if let Some(page) = self.page_mut(i) {
+                page[off..off + run].fill(0);
             }
             i += run;
         }
@@ -371,17 +325,10 @@ impl SimMemory {
     /// sorted order with free-list stack order preserved.
     pub fn snapshot(&self) -> MemImage {
         let mut image = self.alloc.snapshot();
-        for (ri, slot) in self.root.iter().enumerate() {
-            let chunk = slot.load(Ordering::Acquire);
-            if chunk.is_null() {
-                continue;
-            }
-            for (ci, pslot) in unsafe { &(*chunk).pages }.iter().enumerate() {
-                let p = pslot.load(Ordering::Acquire);
-                if p.is_null() {
-                    continue;
-                }
-                let page = unsafe { std::slice::from_raw_parts(p, PAGE_WORDS) };
+        for (ri, chunk) in self.root.iter().enumerate() {
+            let Some(chunk) = chunk else { continue };
+            for (ci, page) in chunk.pages.iter().enumerate() {
+                let Some(page) = page else { continue };
                 let used = page.len() - page.iter().rev().take_while(|&&w| w == 0).count();
                 if used > 0 {
                     let idx = (ri * CHUNK_PAGES + ci) as u64;
@@ -411,9 +358,8 @@ impl SimMemory {
             }
         }
         for (idx, words) in &image.pages {
-            let i = *idx as usize * PAGE_WORDS;
-            let page = mem.ensure_page(i);
-            unsafe { std::slice::from_raw_parts_mut(page, words.len()) }.copy_from_slice(words);
+            let page = mem.ensure_page(*idx as usize * PAGE_WORDS);
+            page[..words.len()].copy_from_slice(words);
         }
         mem
     }

@@ -166,57 +166,6 @@ impl Mesh {
         self.socket_crossings(from, to) * self.flits(class) as u64
     }
 
-    /// Minimum latency of any *cross-tile* message: the cheaper of one
-    /// mesh hop (two co-socket tiles) and one bare link traversal (two
-    /// gateway tiles), plus the serialization of the smallest message
-    /// class. This is the conservative-PDES lookahead of the sharded
-    /// engine: tiles in different partitions are necessarily different
-    /// tiles, so every cross-partition event rides a message that pays at
-    /// least this many cycles — no partition can be preempted by a
-    /// message sent less than this far in its past.
-    pub fn min_cross_latency(&self) -> Cycle {
-        let ser = (self
-            .flits(MsgClass::Control)
-            .min(self.flits(MsgClass::Data)) as Cycle)
-            - 1;
-        let intra = self.hop_latency + ser;
-        if self.sockets > 1 && self.tps == 1 {
-            // Single-tile sockets: every cross-tile message crosses a link.
-            self.socket_link_latency + ser
-        } else if self.sockets > 1 {
-            intra.min(self.socket_link_latency + ser)
-        } else {
-            intra
-        }
-    }
-
-    /// Minimum latency of any message from a tile in `[a0, a1)` to a tile
-    /// in `[b0, b1)`, excluding same-tile pairs (which never cross a
-    /// partition boundary). Used by the sharded engine to widen the
-    /// per-partition-pair lookahead beyond the global
-    /// [`min_cross_latency`](Self::min_cross_latency) for mesh-distant
-    /// and cross-socket partition pairs.
-    pub fn min_latency_between(&self, a: (usize, usize), b: (usize, usize)) -> Cycle {
-        let ser = (self
-            .flits(MsgClass::Control)
-            .min(self.flits(MsgClass::Data)) as Cycle)
-            - 1;
-        let mut best: Option<Cycle> = None;
-        for ta in a.0..a.1 {
-            for tb in b.0..b.1 {
-                if ta == tb {
-                    continue;
-                }
-                let (ta, tb) = (CoreId(ta as u16), CoreId(tb as u16));
-                let l = self.hops(ta, tb) * self.hop_latency
-                    + self.socket_crossings(ta, tb) * self.socket_link_latency
-                    + ser;
-                best = Some(best.map_or(l, |x: Cycle| x.min(l)));
-            }
-        }
-        best.unwrap_or(Cycle::MAX)
-    }
-
     /// Worst-case message latency across the machine (used for the
     /// Proposition 2 delay-bound checks in tests).
     pub fn max_latency(&self, class: MsgClass) -> Cycle {
@@ -298,26 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn min_cross_latency_bounds_every_cross_tile_message() {
-        for n in [2usize, 4, 8, 16, 64] {
-            let m = mesh(n);
-            let bound = m.min_cross_latency();
-            assert!(bound >= 1);
-            for a in 0..n as u16 {
-                for b in 0..n as u16 {
-                    if a != b {
-                        for class in [MsgClass::Control, MsgClass::Data] {
-                            assert!(m.latency(CoreId(a), CoreId(b), class) >= bound);
-                        }
-                    }
-                }
-            }
-        }
-        // Defaults: hop latency 2, 1-flit control ⇒ lookahead 2.
-        assert_eq!(mesh(64).min_cross_latency(), 2);
-    }
-
-    #[test]
     fn max_latency_bounds_all_pairs() {
         for n in [2usize, 4, 8, 16, 32, 64] {
             let m = mesh(n);
@@ -347,7 +276,6 @@ mod tests {
             let flat = mesh(n);
             let s1 = numa(n, 1);
             assert_eq!(s1.sockets(), 1);
-            assert_eq!(s1.min_cross_latency(), flat.min_cross_latency());
             for a in 0..n as u16 {
                 for b in 0..n as u16 {
                     let (a, b) = (CoreId(a), CoreId(b));
@@ -469,24 +397,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn min_latency_between_tile_blocks() {
-        let m = numa(8, 2);
-        // Adjacent blocks within one socket: one hop (2) + 0 ser.
-        assert_eq!(m.min_latency_between((0, 2), (2, 4)), 2);
-        // Blocks in different sockets: link traversal dominates.
-        assert_eq!(m.min_latency_between((0, 4), (4, 8)), 40);
-        // Overlapping blocks still exclude same-tile pairs.
-        assert!(m.min_latency_between((0, 4), (0, 4)) >= m.min_cross_latency());
-        // The global bound is never above any pair bound.
-        let flat = mesh(64);
-        for p in [(0usize, 16usize), (16, 32), (32, 48), (48, 64)] {
-            for q in [(0usize, 16usize), (16, 32), (32, 48), (48, 64)] {
-                assert!(flat.min_latency_between(p, q) >= flat.min_cross_latency());
             }
         }
     }
