@@ -98,9 +98,17 @@ step "NUMA serving smoke (asserts op ledger + cross-socket traffic shape)"
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario numa_serving --smoke > /dev/null
 # The kilo-core cell: 1024 simulated cores across 4 sockets — the scale
 # the NUMA tier exists for. The same in-cell ledger and cross-socket
-# asserts gate it.
+# asserts gate it. It runs recorded, and its trace is replayed on the
+# reference heap store: the only check of trace capture with 1024
+# workers, and of the wheel's kilo-core event order against the heap.
+KC_DIR=$(mktemp -d)
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
-    --scenario numa_serving --threads 1024 --ops 8 --series .s4 > /dev/null
+    --scenario numa_serving --threads 1024 --ops 8 --series .s4 \
+    --record "$KC_DIR" > /dev/null
+LR_EVENTQ=heap cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
+    --replay "$KC_DIR" > "$KC_DIR/replay.txt"
+tail -n 1 "$KC_DIR/replay.txt"
+rm -rf "$KC_DIR"
 
 step "record/replay: every sim scenario must replay byte-identical"
 # Record every deterministic simulation of a smoke sweep as a trace,

@@ -3,31 +3,7 @@
 use crate::proto::{AddrVec, Op, Reply, Request};
 use crate::rendezvous::{SlotReceiver, SlotSender};
 use lr_lease::LeaseOps;
-use lr_sim_core::tracefmt::{OpRecord, TraceOp};
 use lr_sim_core::{Addr, Cycle, LeaseConfig, SplitMix64};
-use std::sync::{Arc, Mutex};
-
-/// Where worker threads deposit their finished op streams: one slot per
-/// core, filled exactly once when the worker exits.
-pub(crate) type RecordSink = Arc<Mutex<Vec<Option<Vec<OpRecord>>>>>;
-
-/// Per-worker trace capture state. Lives inside [`ThreadCtx`] only when
-/// the run records (`Machine::run_recorded` or
-/// `Machine::with_trace_output`); otherwise issue() pays a single branch
-/// and no allocation.
-pub(crate) struct Recorder {
-    sink: RecordSink,
-    records: Vec<OpRecord>,
-}
-
-impl Recorder {
-    pub(crate) fn new(sink: RecordSink) -> Self {
-        Recorder {
-            sink,
-            records: Vec::new(),
-        }
-    }
-}
 
 /// Per-thread handle to the simulated machine.
 ///
@@ -44,7 +20,8 @@ pub struct ThreadCtx {
     rng: SplitMix64,
     instructions: u64,
     ops: u64,
-    rec: Option<Box<Recorder>>,
+    /// The run records a trace, so barrier crossings send a marker.
+    marks_barriers: bool,
 }
 
 impl ThreadCtx {
@@ -55,7 +32,7 @@ impl ThreadCtx {
         seed: u64,
         req: SlotSender<Request>,
         reply: SlotReceiver<Reply>,
-        rec: Option<Recorder>,
+        marks_barriers: bool,
     ) -> Self {
         ThreadCtx {
             tid,
@@ -67,7 +44,7 @@ impl ThreadCtx {
             rng: SplitMix64::new(seed ^ (tid as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
             instructions: 0,
             ops: 0,
-            rec: rec.map(Box::new),
+            marks_barriers,
         }
     }
 
@@ -107,45 +84,34 @@ impl ThreadCtx {
         self.instructions += cycles;
     }
 
-    fn issue(&mut self, op: Op) -> Reply {
-        self.time += self.inst_cost;
-        self.instructions += 1;
-        let at = self.time;
-        // Capture the trace form before the op is moved into the request.
-        let traced = self.rec.as_ref().map(|_| op.to_trace());
+    /// One request/reply round trip with the engine.
+    fn round_trip(&mut self, at: Cycle, op: Op) -> Reply {
         let tid = self.tid;
         self.req
             .send(Request { tid, at, op })
             .unwrap_or_else(|_| panic!("core {tid}: engine terminated before accepting an op"));
-        let r = self
-            .reply
+        self.reply
             .recv()
-            .unwrap_or_else(|_| panic!("core {tid}: engine terminated without completing an op"));
+            .unwrap_or_else(|_| panic!("core {tid}: engine terminated without completing an op"))
+    }
+
+    fn issue(&mut self, op: Op) -> Reply {
+        self.time += self.inst_cost;
+        self.instructions += 1;
+        let r = self.round_trip(self.time, op);
         debug_assert!(r.time >= self.time);
-        if let (Some(rec), Some(op)) = (self.rec.as_mut(), traced) {
-            rec.records.push(OpRecord {
-                at,
-                op,
-                reply_time: r.time,
-                reply_value: r.value,
-                reply_flag: r.flag,
-            });
-        }
         self.time = r.time;
         r
     }
 
-    /// Drop a `Barrier` marker into the trace stream (no engine-visible
-    /// op). The replayer skips markers; tools use them to delimit phases.
+    /// Mark a barrier crossing in the trace of a recorded run: the
+    /// engine appends a `Barrier` record and acknowledges at once. The
+    /// marker schedules no event, counts no instruction and moves no
+    /// clock; unrecorded runs send nothing. The replayer skips markers;
+    /// tools use them to delimit phases.
     pub(crate) fn note_barrier(&mut self) {
-        if let Some(rec) = self.rec.as_mut() {
-            rec.records.push(OpRecord {
-                at: self.time,
-                op: TraceOp::Barrier,
-                reply_time: self.time,
-                reply_value: 0,
-                reply_flag: false,
-            });
+        if self.marks_barriers {
+            self.round_trip(self.time, Op::Barrier);
         }
     }
 
@@ -271,25 +237,6 @@ impl ThreadCtx {
     }
 
     pub(crate) fn send_exit(&mut self, panicked: bool) {
-        if let Some(mut rec) = self.rec.take() {
-            if !panicked {
-                rec.records.push(OpRecord {
-                    at: self.time,
-                    op: TraceOp::Exit {
-                        instructions: self.instructions,
-                        ops: self.ops,
-                    },
-                    reply_time: self.time,
-                    reply_value: 0,
-                    reply_flag: false,
-                });
-            }
-            // A poisoned sink means the engine already failed; the trace
-            // is moot, so losing this core's stream is fine.
-            if let Ok(mut slots) = rec.sink.lock() {
-                slots[self.tid] = Some(std::mem::take(&mut rec.records));
-            }
-        }
         let _ = self.req.send(Request {
             tid: self.tid,
             at: self.time,

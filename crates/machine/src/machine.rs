@@ -18,7 +18,7 @@
 //! `(time, canonical per-tile key)` order and applies each event in
 //! turn; nothing the engine touches is shared with another host thread.
 
-use crate::ctx::{RecordSink, Recorder, ThreadCtx};
+use crate::ctx::ThreadCtx;
 use crate::proto::{Op, Reply, Request, ALLOC_COST};
 use crate::rendezvous::{slot, SlotReceiver, SlotSender};
 use lr_coherence::{AccessKind, CohContext, CohEvent, CoherenceEngine, ProbeAction};
@@ -31,7 +31,6 @@ use lr_sim_core::{
 use lr_sim_mem::SimMemory;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 /// The tile that owns the simulated heap allocator. `Malloc`/`Free`
 /// mutate one global free list, so they execute as messages delivered
@@ -716,8 +715,6 @@ impl Machine {
         // The replayer restores this exact image before re-driving ops,
         // so it must be taken before any simulated execution.
         let pre_image = record.then(|| mem.snapshot());
-        let sink: Option<RecordSink> =
-            record.then(|| Arc::new(Mutex::new((0..n).map(|_| None).collect())));
         let mut ms = MachineState {
             queue: ShardedQueue::with_kind(kind, cfg.num_cores, 1, 0),
             tables: (0..cfg.num_cores)
@@ -751,7 +748,6 @@ impl Machine {
                     // request receiver keeps the default (large) cap: the worker
                     // it just woke is always the very next sender.
                     let prx = prx.with_yield_cap(WORKER_YIELD_CAP / n as u32);
-                    let rec = sink.as_ref().map(|s| Recorder::new(s.clone()));
                     let mut tctx = ThreadCtx::new(
                         tid,
                         cfg.instruction_cost,
@@ -759,7 +755,7 @@ impl Machine {
                         cfg.seed,
                         rtx,
                         prx,
-                        rec,
+                        record,
                     );
                     handles.push(std::thread::spawn(move || {
                         let r = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut tctx)));
@@ -791,6 +787,7 @@ impl Machine {
             exit_ops: vec![0u64; n],
             panicked: Vec::new(),
             alloc_msgs: 0,
+            records: record.then(|| vec![Vec::new(); n]),
         };
 
         // Any failure inside the event loop — watchdog trip, protocol
@@ -825,6 +822,7 @@ impl Machine {
             exit_ops,
             panicked,
             alloc_msgs,
+            records,
             ..
         } = core;
         drop(transport);
@@ -858,29 +856,19 @@ impl Machine {
             c.multileases += lc.multileases;
         }
 
-        let trace = match sink {
-            Some(sink) => {
-                // Workers deposited their streams before sending Exit,
-                // and every Exit has been received, so the sink is full.
-                let mut slots = sink.lock().unwrap_or_else(|e| e.into_inner());
-                let cores: Vec<Vec<OpRecord>> = slots
-                    .iter_mut()
-                    .map(|s| s.take().unwrap_or_default())
-                    .collect();
-                let trace = MachineTrace {
-                    config: cfg.clone(),
-                    mem: pre_image.expect("snapshot taken when recording"),
-                    cores,
-                    stats_json: stats.to_json(),
-                    live_events: info.events,
-                };
-                if let Some(out) = &trace_out {
-                    write_trace_file(out, &trace);
-                }
-                Some(trace)
+        let trace = records.map(|cores| {
+            let trace = MachineTrace {
+                config: cfg.clone(),
+                mem: pre_image.expect("snapshot taken when recording"),
+                cores,
+                stats_json: stats.to_json(),
+                live_events: info.events,
+            };
+            if let Some(out) = &trace_out {
+                write_trace_file(out, &trace);
             }
-            None => None,
-        };
+            trace
+        });
         Ok((stats, mem, info, trace))
     }
 }
@@ -909,6 +897,10 @@ struct EngineCore<'a> {
     /// `Ev::MemReq` events (heap ops routed to the allocator home tile)
     /// applied; reported as [`EngineInfo::alloc_msgs`].
     alloc_msgs: u64,
+    /// The trace being captured, one op stream per core, when the run
+    /// records: each received op is appended here and its reply filled
+    /// in as it is sent, so workers allocate nothing for it.
+    records: Option<Vec<Vec<OpRecord>>>,
 }
 
 impl EngineCore<'_> {
@@ -1062,31 +1054,61 @@ impl EngineCore<'_> {
     /// request is received on the engine thread, so each rendezvous slot
     /// keeps one receiver thread for its whole life (the slot's
     /// pinned-consumer requirement).
+    ///
+    /// A recording run appends every received op to `tid`'s trace
+    /// stream (all but the `Exit` of a panicked worker). A barrier
+    /// marker is recorded and acknowledged here, and the wait goes on.
     fn await_request(&mut self, tid: usize, t: Cycle) -> Result<(), String> {
-        let r = self.transport.recv(tid)?;
-        debug_assert_eq!(r.tid, tid);
-        match r.op {
-            Op::Exit {
-                instructions,
-                ops,
-                at,
-                panicked: p,
-            } => {
-                self.live -= 1;
-                self.exit_inst[tid] = instructions;
-                self.exit_ops[tid] = ops;
-                self.finish_time = self.finish_time.max(at);
-                if p {
-                    self.panicked.push(tid);
+        loop {
+            let r = self.transport.recv(tid)?;
+            debug_assert_eq!(r.tid, tid);
+            if let Some(records) = &mut self.records {
+                if !matches!(r.op, Op::Exit { panicked: true, .. }) {
+                    // Markers and Exit keep this reply; ops get theirs
+                    // in complete_op.
+                    records[tid].push(OpRecord {
+                        at: r.at,
+                        op: r.op.to_trace(),
+                        reply_time: r.at,
+                        reply_value: 0,
+                        reply_flag: false,
+                    });
                 }
             }
-            op => {
-                debug_assert!(self.pending[tid].is_none());
-                self.pending[tid] = Some(Pending::Incoming(op));
-                self.ms.queue.push(tid, t, tid, r.at, Ev::OpStart(tid));
+            match r.op {
+                Op::Barrier => {
+                    self.transport.reply(
+                        tid,
+                        Reply {
+                            time: r.at,
+                            value: 0,
+                            flag: false,
+                        },
+                    )?;
+                    continue;
+                }
+                Op::Exit {
+                    instructions,
+                    ops,
+                    at,
+                    panicked: p,
+                } => {
+                    self.live -= 1;
+                    self.exit_inst[tid] = instructions;
+                    self.exit_ops[tid] = ops;
+                    self.finish_time = self.finish_time.max(at);
+                    if p {
+                        self.panicked.push(tid);
+                    }
+                }
+                op => {
+                    debug_assert!(self.pending[tid].is_none());
+                    self.pending[tid] = Some(Pending::Incoming(op));
+                    self.ms.queue.push(tid, t, tid, r.at, Ev::OpStart(tid));
+                }
             }
+            return Ok(());
         }
-        Ok(())
     }
 
     /// Immediate completion with a precomputed result after `delay`.
@@ -1243,7 +1265,7 @@ impl EngineCore<'_> {
             }
             Op::Malloc { size, align } => self.heap_request(tid, t, HeapOp::Malloc { size, align }),
             Op::Free(a) => self.heap_request(tid, t, HeapOp::Free(a)),
-            Op::Exit { .. } => unreachable!("Exit handled in await_request"),
+            Op::Exit { .. } | Op::Barrier => unreachable!("{op:?} handled in await_request"),
         }
     }
 
@@ -1349,6 +1371,14 @@ impl EngineCore<'_> {
             Pending::Incoming(_) => unreachable!("completion before start"),
         };
         self.engine.core_stats_mut(core).mem_stall_cycles += t - issued;
+        if let Some(records) = &mut self.records {
+            let rec = records[tid]
+                .last_mut()
+                .expect("a recorded op awaits its reply");
+            rec.reply_time = t;
+            rec.reply_value = value;
+            rec.reply_flag = flag;
+        }
         self.transport.reply(
             tid,
             Reply {

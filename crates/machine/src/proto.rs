@@ -83,6 +83,11 @@ pub enum Op {
     Malloc { size: u64, align: u64 },
     /// Heap free.
     Free(Addr),
+    /// A barrier crossing in a recorded run
+    /// ([`SimBarrier`](crate::SimBarrier)): the engine appends a
+    /// `Barrier` trace record and acknowledges at once. It schedules no
+    /// event, counts no instruction and moves no clock.
+    Barrier,
     /// The worker's closure finished (normally or by panic).
     Exit {
         /// Simulated instructions the worker retired (API calls + work).
@@ -97,9 +102,9 @@ pub enum Op {
 }
 
 impl Op {
-    /// Trace-format mirror of this op. Every variant has one;
-    /// `Exit` carries its counters, `Barrier` markers are injected by
-    /// [`SimBarrier`](crate::SimBarrier) rather than converted from an op.
+    /// Trace-format mirror of this op, as the engine records it when it
+    /// receives the op. Every variant has one; `Exit` carries its
+    /// counters.
     pub fn to_trace(&self) -> TraceOp {
         match *self {
             Op::Read(a) => TraceOp::Read(a),
@@ -124,6 +129,7 @@ impl Op {
             Op::ReleaseAll => TraceOp::ReleaseAll,
             Op::Malloc { size, align } => TraceOp::Malloc { size, align },
             Op::Free(a) => TraceOp::Free(a),
+            Op::Barrier => TraceOp::Barrier,
             Op::Exit {
                 instructions, ops, ..
             } => TraceOp::Exit { instructions, ops },
@@ -132,7 +138,8 @@ impl Op {
 
     /// Reconstruct a protocol op from its trace form, for the replayer.
     /// `at` becomes the exit timestamp for `Exit` records. Returns `None`
-    /// for `Barrier`, which is an annotation with no engine-visible op.
+    /// for `Barrier`: a marker has no effect on the simulation, so the
+    /// replayer skips it.
     pub fn from_trace(t: &TraceOp, at: Cycle) -> Option<Op> {
         Some(match *t {
             TraceOp::Read(a) => Op::Read(a),

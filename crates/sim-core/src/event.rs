@@ -176,7 +176,7 @@ impl<E> EventQueue<E> {
     /// `(time, seq)` is a pure function of per-tile causality. Keys
     /// must be unique per `(time, seq)` pair but need *not* arrive in
     /// ascending order; both stores order same-time entries by key (the
-    /// wheel via ordered slot insertion).
+    /// wheel by an ordered insert into its one-cycle level-0 slots).
     pub fn push_at_seq(&mut self, time: Cycle, seq: u64, payload: E) {
         assert!(
             time >= self.now,

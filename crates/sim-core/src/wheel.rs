@@ -31,14 +31,22 @@
 //!
 //! # Determinism
 //!
-//! The queue contract is *total order by `(time, seq)`*. Within a slot,
-//! entries hang off an intrusive singly-linked list kept sorted by
-//! `(time, seq)` via ordered insertion ([`Wheel::link`]), and cascades
-//! walk that list head-to-tail through the same insertion path, so
-//! sortedness is preserved end to end. Keys need not arrive in
-//! ascending order: the sharded engine's canonical keys (src-tile ∥
-//! per-tile counter) can reach one queue out of key order at a given
-//! cycle, and the ordered insert restores the contract.
+//! The queue contract is *total order by `(time, seq)`*. Each slot's
+//! entries hang off an intrusive singly-linked list, and order is kept
+//! only where [`Wheel::pop`] reads it ([`Wheel::link`]):
+//!
+//! * a level-0 slot holds a single cycle, and its list stays sorted by
+//!   `seq` (ordered insert; O(1) for an in-order key), so its head is
+//!   the slot's minimum;
+//! * a higher-level slot is a plain append-only bag (O(1) push,
+//!   however many entries its window holds);
+//! * the cascade re-files a detached slot through the same
+//!   [`Wheel::link`], so every entry that reaches level 0 lands in key
+//!   order there, whatever order its window collected it in.
+//!
+//! Keys need not arrive in ascending order: the engine's canonical keys
+//! (src-tile ∥ per-tile counter) can reach the queue out of key order
+//! at a given cycle, and the level-0 insert restores the contract.
 //!
 //! # Allocation discipline
 //!
@@ -72,7 +80,7 @@ struct Node<E> {
     payload: Option<E>,
 }
 
-/// Head/tail of one slot's intrusive FIFO list.
+/// Head/tail of one slot's intrusive list.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     head: u32,
@@ -161,51 +169,41 @@ impl<E> Wheel<E> {
     }
 
     /// Insert slab node `idx` (whose `time` is given) into its slot
-    /// list, keeping the list sorted by `(time, seq)`.
-    ///
-    /// Sequence keys used to arrive in ascending order per queue, so a
-    /// tail append sufficed. The sharded engine's canonical keys
-    /// (`src-tile` ∥ per-tile counter) are *not* globally ascending at a
-    /// given cycle — two handlers at different tiles can push same-time
-    /// events in either order — so the slot list performs an ordered
-    /// insert instead: O(1) for the common in-order case (new key ≥
-    /// tail), a head-to-tail walk otherwise. Cascades re-file nodes
-    /// head-to-tail through this same path, so sortedness is preserved
-    /// end to end and the head of any slot is its `(time, seq)` minimum.
+    /// list: appended at a higher level, inserted in `seq` order at
+    /// level 0 (module docs, *Determinism*). The level-0 insert is O(1)
+    /// when the new key is at least the tail's, a walk of that one
+    /// cycle's entries otherwise.
     fn link(&mut self, idx: u32, time: Cycle) {
         let (level, slot) = self.locate(time);
-        let key = (time, self.pool[idx as usize].seq);
+        let seq = self.pool[idx as usize].seq;
         let s = self.levels[level].slots[slot];
         if s.tail == NIL {
             self.pool[idx as usize].next = NIL;
             self.levels[level].slots[slot].head = idx;
             self.levels[level].slots[slot].tail = idx;
+        } else if level > 0 || seq >= self.pool[s.tail as usize].seq {
+            self.pool[idx as usize].next = NIL;
+            self.pool[s.tail as usize].next = idx;
+            self.levels[level].slots[slot].tail = idx;
         } else {
-            let tail = &self.pool[s.tail as usize];
-            if key >= (tail.time, tail.seq) {
-                self.pool[idx as usize].next = NIL;
-                self.pool[s.tail as usize].next = idx;
-                self.levels[level].slots[slot].tail = idx;
+            // Out-of-order key at one cycle: find the first node with a
+            // greater key and splice in front of it.
+            let mut prev = NIL;
+            let mut cur = s.head;
+            loop {
+                let n = &self.pool[cur as usize];
+                if n.seq > seq {
+                    break;
+                }
+                prev = cur;
+                cur = n.next;
+                debug_assert_ne!(cur, NIL, "tail check guaranteed an insert point");
+            }
+            self.pool[idx as usize].next = cur;
+            if prev == NIL {
+                self.levels[level].slots[slot].head = idx;
             } else {
-                // Out-of-order same-window arrival: find the first node
-                // strictly greater and splice in front of it.
-                let mut prev = NIL;
-                let mut cur = s.head;
-                loop {
-                    let n = &self.pool[cur as usize];
-                    if (n.time, n.seq) > key {
-                        break;
-                    }
-                    prev = cur;
-                    cur = n.next;
-                    debug_assert_ne!(cur, NIL, "tail check guaranteed an insert point");
-                }
-                self.pool[idx as usize].next = cur;
-                if prev == NIL {
-                    self.levels[level].slots[slot].head = idx;
-                } else {
-                    self.pool[prev as usize].next = idx;
-                }
+                self.pool[prev as usize].next = idx;
             }
         }
         self.levels[level].occ[slot / 64] |= 1 << (slot % 64);
@@ -268,7 +266,8 @@ impl<E> Wheel<E> {
 
     /// The near horizon is empty: advance `pos` to the first occupied
     /// window of the lowest non-empty level and re-file that slot's
-    /// entries (in FIFO order) into lower levels.
+    /// entries into lower levels (through [`Wheel::link`], which puts
+    /// the ones that reach level 0 in key order).
     fn cascade(&mut self) {
         for level in 1..LEVELS {
             let shift = BITS * level as u32;
@@ -300,21 +299,18 @@ impl<E> Wheel<E> {
         unreachable!("wheel has {} entries but no occupied slot", self.len);
     }
 
-    /// Timestamp of the earliest entry without popping it. `O(1)` for
-    /// near-horizon events; for a far-future head this scans the first
-    /// occupied slot of the lowest non-empty level (entries within one
-    /// higher-level slot are FIFO, not time-sorted).
+    /// Timestamp of the earliest entry without popping it
+    /// ([`Wheel::peek_key`]).
     pub(crate) fn peek_time(&self) -> Option<Cycle> {
         self.peek_key().map(|(t, _)| t)
     }
 
     /// `(time, seq)` of the entry [`Wheel::pop`] would return next.
     ///
-    /// Exact at every level: slot lists are kept sorted by `(time, seq)`
-    /// ([`Wheel::link`]), and the first occupied slot of the lowest
-    /// non-empty level bounds the minimum (every other pending entry is
-    /// in a later window of this or a higher level), so the head of that
-    /// slot is the global minimum.
+    /// The first occupied slot of the lowest non-empty level holds the
+    /// minimum: every other pending entry is in a later window of this
+    /// or a higher level. Only level-0 slots are sorted, so this scans
+    /// that one slot. Only tests call this; the engine never peeks.
     pub(crate) fn peek_key(&self) -> Option<(Cycle, u64)> {
         if self.len == 0 {
             return None;
@@ -325,8 +321,14 @@ impl<E> Wheel<E> {
             let Some(slot) = self.levels[level].first_occupied_from(start) else {
                 continue;
             };
-            let n = &self.pool[self.levels[level].slots[slot].head as usize];
-            return Some((n.time, n.seq));
+            let mut idx = self.levels[level].slots[slot].head;
+            let mut min = (Cycle::MAX, u64::MAX);
+            while idx != NIL {
+                let n = &self.pool[idx as usize];
+                min = min.min((n.time, n.seq));
+                idx = n.next;
+            }
+            return Some(min);
         }
         unreachable!("wheel has {} entries but no occupied slot", self.len);
     }
@@ -370,6 +372,22 @@ mod tests {
         assert_eq!(w.pop(), Some((300, 0, "first")));
         assert_eq!(w.pop(), Some((300, 1, "second")));
         assert_eq!(w.pop(), None);
+    }
+
+    #[test]
+    fn cascade_files_a_window_into_key_order() {
+        let mut w = Wheel::new();
+        // One level-1 window collects two cycles with keys out of
+        // order; peek scans the unordered slot, and the cascade sorts
+        // each cycle by key.
+        for (t, k) in [(300, 9), (260, 4), (300, 2), (300, 5), (260, 1)] {
+            w.push(t, k, k);
+        }
+        assert_eq!(w.peek_key(), Some((260, 1)));
+        let order: Vec<_> = std::iter::from_fn(|| w.pop())
+            .map(|(t, k, _)| (t, k))
+            .collect();
+        assert_eq!(order, [(260, 1), (260, 4), (300, 2), (300, 5), (300, 9)]);
     }
 
     #[test]

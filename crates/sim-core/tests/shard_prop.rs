@@ -7,7 +7,8 @@
 //! `(src_tile << 48) | per-src-tile counter` stamp. Same oracle model
 //! as `event_prop.rs`, extended with random source and destination
 //! tiles per push — the only randomized test in which a same-cycle push
-//! lands below the last popped key.
+//! lands below the last popped key. Schedules use 8 tiles, except one
+//! high-fan-in schedule at kilo-core scale.
 
 use lr_sim_core::{EventQueue, EventQueueKind, ShardedQueue, SplitMix64};
 
@@ -24,8 +25,19 @@ enum Step {
     Pop,
 }
 
+/// Tiles a schedule needs: [`TILES`], or more if it names more.
+fn tiles_of(steps: &[Step]) -> usize {
+    steps
+        .iter()
+        .map(|&s| match s {
+            Step::Push(src, dest, _) => src.max(dest) + 1,
+            Step::Pop => 0,
+        })
+        .fold(TILES, usize::max)
+}
+
 /// Mirror of the queue's canonical key stamping.
-fn next_key(ctrs: &mut [u64; TILES], src: usize) -> u64 {
+fn next_key(ctrs: &mut [u64], src: usize) -> u64 {
     let k = ((src as u64) << 48) | ctrs[src];
     ctrs[src] += 1;
     k
@@ -51,7 +63,7 @@ fn random_schedule(seed: u64, max_delay: u64, push_bias: f64) -> Vec<Step> {
 
 /// Pop stream of the keyed store backed by `kind`.
 fn drive_sharded(kind: EventQueueKind, steps: &[Step]) -> Vec<(u64, usize)> {
-    let mut q: ShardedQueue<usize> = ShardedQueue::with_kind(kind, TILES, 1, 0);
+    let mut q: ShardedQueue<usize> = ShardedQueue::with_kind(kind, tiles_of(steps), 1, 0);
     let mut out = Vec::new();
     let mut id = 0usize;
     for &s in steps {
@@ -75,7 +87,7 @@ fn drive_sharded(kind: EventQueueKind, steps: &[Step]) -> Vec<(u64, usize)> {
 /// stamped with the same canonical keys the keyed store uses.
 fn drive_single(kind: EventQueueKind, steps: &[Step]) -> Vec<(u64, usize)> {
     let mut q: EventQueue<usize> = EventQueue::with_kind(kind);
-    let mut ctrs = [0u64; TILES];
+    let mut ctrs = vec![0u64; tiles_of(steps)];
     let mut now = 0u64;
     let mut out = Vec::new();
     let mut id = 0usize;
@@ -110,7 +122,7 @@ fn check_schedule(steps: &[Step], label: &str) {
     // carry the popped time with a smaller canonical key — same cycle,
     // lower source tile — and legitimately pops later.)
     let expected: Vec<(u64, usize)> = {
-        let mut ctrs = [0u64; TILES];
+        let mut ctrs = vec![0u64; tiles_of(steps)];
         let mut now = 0u64;
         let mut pending: Vec<(u64, u64, usize)> = Vec::new();
         let mut out = Vec::new();
@@ -214,4 +226,35 @@ fn sharded_same_cycle_bursts_keep_canonical_key_order() {
         }
         check_schedule(&sched, &format!("burst case {case}"));
     }
+}
+
+/// High fan-in at kilo-core scale, the shape of the 1024-core NUMA
+/// cell: 1024 source tiles keep thousands of events pending across
+/// several level-1 and level-2 wheel windows, with keys arriving out of
+/// order — including clusters of same-cycle pushes that reach level 0
+/// only through a cascade.
+#[test]
+fn sharded_high_fan_in_keeps_canonical_key_order() {
+    const FAN_IN: u64 = 1024;
+    let mut rng = SplitMix64::new(0x5a4d_4000);
+    let mut sched = Vec::new();
+    for _ in 0..4 {
+        for _ in 0..2000 {
+            let d = match rng.gen_range(0u64..4) {
+                0 => rng.gen_range(0u64..256),
+                1 => rng.gen_range(256u64..1 << 16),
+                2 => rng.gen_range(1u64 << 16..1 << 18),
+                _ => 300 * rng.gen_range(1u64..8),
+            };
+            sched.push(Step::Push(
+                rng.gen_range(0u64..FAN_IN) as usize,
+                rng.gen_range(0u64..FAN_IN) as usize,
+                d,
+            ));
+        }
+        for _ in 0..rng.gen_range(500usize..1500) {
+            sched.push(Step::Pop);
+        }
+    }
+    check_schedule(&sched, "kilo-core fan-in");
 }
