@@ -49,28 +49,13 @@ step "benchmark package: build + tests"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 step "strict invariant checking"
+# Also turns on the event queue's reference check: every wheel pop in
+# the suite (each scenario's smoke cells, the goldens, the corpus) must
+# return the minimum of a key-only heap of everything pending.
 cargo test -q --offline --workspace --features lease-release/strict-invariants
 
 step "driver smoke: every scenario, 2 parallel jobs"
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --smoke --jobs 2 > /dev/null
-
-step "event-queue A/B: heap vs wheel must be byte-identical"
-# Every deterministic (sim) scenario, run once per event-queue store:
-# the emitted rows and every BENCH_*.json must not differ by one byte.
-# Wall-clock scenarios (--kind host/wall) are exempt by nature.
-AB_DIR=$(mktemp -d)
-mkdir -p "$AB_DIR/json_heap" "$AB_DIR/json_wheel"
-# The "JSON -> <path>" banner echoes the per-variant output directory;
-# everything else must match exactly.
-LR_EVENTQ=heap LR_JSON_DIR="$AB_DIR/json_heap" \
-    cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
-    --smoke --jobs 2 --kind sim | grep -v "^JSON -> " > "$AB_DIR/rows_heap.txt"
-LR_EVENTQ=wheel LR_JSON_DIR="$AB_DIR/json_wheel" \
-    cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
-    --smoke --jobs 2 --kind sim | grep -v "^JSON -> " > "$AB_DIR/rows_wheel.txt"
-diff -u "$AB_DIR/rows_heap.txt" "$AB_DIR/rows_wheel.txt"
-diff -ru "$AB_DIR/json_heap" "$AB_DIR/json_wheel"
-rm -rf "$AB_DIR"
 
 step "engine throughput smoke (gates on completion, not numbers)"
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario engine_throughput --smoke > /dev/null
@@ -81,8 +66,8 @@ step "lock showdown smoke (asserts zero allocator msgs + combiner ledger)"
 # in-cell, that steady state sends zero simulated allocator messages
 # (node pools are pre-allocated), that every delegated op is combined
 # exactly once, and that the stack's push/pop/empty ledger balances.
-# As a ScenarioKind::Sim entry it also rides the --kind sim event-queue
-# A/B gate above and the record/replay gate below.
+# As a ScenarioKind::Sim entry it also rides the record/replay gate
+# below.
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario lock_showdown --smoke > /dev/null
 
 step "NUMA serving smoke (asserts op ledger + cross-socket traffic shape)"
@@ -93,19 +78,17 @@ step "NUMA serving smoke (asserts op ledger + cross-socket traffic shape)"
 # count, that single-socket cells send zero cross-socket messages (the
 # sockets=1 degeneracy), and that multi-socket cells with workers on
 # more than one socket actually cross the link. As a ScenarioKind::Sim
-# entry it also rides the --kind sim event-queue A/B gate above and the
-# record/replay gate below.
+# entry it also rides the record/replay gate below.
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario numa_serving --smoke > /dev/null
 # The kilo-core cell: 1024 simulated cores across 4 sockets — the scale
 # the NUMA tier exists for. The same in-cell ledger and cross-socket
-# asserts gate it. It runs recorded, and its trace is replayed on the
-# reference heap store: the only check of trace capture with 1024
-# workers, and of the wheel's kilo-core event order against the heap.
+# asserts gate it. It runs recorded, and its trace is replayed: the only
+# check of trace capture with 1024 workers.
 KC_DIR=$(mktemp -d)
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
     --scenario numa_serving --threads 1024 --ops 8 --series .s4 \
     --record "$KC_DIR" > /dev/null
-LR_EVENTQ=heap cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
+cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
     --replay "$KC_DIR" > "$KC_DIR/replay.txt"
 tail -n 1 "$KC_DIR/replay.txt"
 rm -rf "$KC_DIR"
@@ -125,16 +108,15 @@ rm -rf "$TR_DIR"
 
 step "fuzz farm: seeded differential campaign, twice, diffed"
 # Replay-driven differential fuzzing over a fixed seed range: each seed
-# records live under msi/mesi/lease-tight, replays every trace under
-# both event-queue stores, and checks the workload's built-in FAA-ledger
-# and app-ops invariants. The campaign runs twice and the outputs are
-# diffed: the farm itself must be byte-deterministic. LR_FUZZ_SEEDS
-# opts in to a longer run (default 64 seeds, sub-second).
+# records live under msi/mesi/lease-tight, replays every trace once,
+# and checks the workload's built-in FAA-ledger and app-ops invariants.
+# The campaign runs twice and the outputs are diffed: the farm itself
+# must be byte-deterministic.
 FZ_DIR=$(mktemp -d)
 cargo run -q --release --offline -p lr-fuzz --bin lr-fuzz -- \
-    --seeds "${LR_FUZZ_SEEDS:-64}" --repro-dir "$FZ_DIR/repro" > "$FZ_DIR/run1.txt"
+    --seeds 64 --repro-dir "$FZ_DIR/repro" > "$FZ_DIR/run1.txt"
 cargo run -q --release --offline -p lr-fuzz --bin lr-fuzz -- \
-    --seeds "${LR_FUZZ_SEEDS:-64}" --repro-dir "$FZ_DIR/repro" > "$FZ_DIR/run2.txt"
+    --seeds 64 --repro-dir "$FZ_DIR/repro" > "$FZ_DIR/run2.txt"
 diff -u "$FZ_DIR/run1.txt" "$FZ_DIR/run2.txt"
 tail -n 1 "$FZ_DIR/run1.txt"
 
@@ -147,8 +129,7 @@ cargo run -q --release --offline -p lr-fuzz --bin lr-fuzz -- \
 rm -rf "$FZ_DIR"
 
 step "fuzz farm: checked-in regression corpus"
-# Every committed trace must replay byte-identical under both event
-# queues.
+# Every committed trace must replay byte-identical.
 # Regenerate with: lr-fuzz --regen-corpus corpus --seeds 4
 cargo run -q --release --offline -p lr-fuzz --bin lr-fuzz -- \
     --check-corpus corpus

@@ -9,8 +9,7 @@
 //! ```
 
 use lr_bench::{
-    build_plan, default_jobs, max_threads_from_env, record_dir_from_env, registry, run, JsonPolicy,
-    PlanOpts, Scenario, ScenarioKind,
+    build_plan, default_jobs, registry, run, JsonPolicy, PlanOpts, Scenario, ScenarioKind,
 };
 
 const USAGE: &str = "\
@@ -23,10 +22,9 @@ OPTIONS:
     --list               List registered scenarios and exit
     --scenario A,B,...   Run only the named scenarios (default: all)
     --series SUBSTR      Run only series whose name contains SUBSTR
-    --threads T1,T2,...  Thread counts (default: 1,2,4,...,64, capped
-                         by LR_MAX_THREADS)
+    --threads T1,T2,...  Thread counts (default: 1,2,4,...,64)
     --ops N              Per-thread operations for every scenario
-                         (default: per scenario, or LR_OPS)
+                         (default: per scenario)
     --jobs N             Parallel workers for sim cells (default and cap:
                          host cores; output is identical for any N)
     --smoke              Tiny ops, 2-thread cells: every selected
@@ -39,12 +37,8 @@ OPTIONS:
     -h, --help           This help
 
 ENVIRONMENT:
-    LR_MAX_THREADS  cap for the default thread sweep
-    LR_OPS          default per-thread ops (overridden by --ops)
-    LR_NATIVE_OPS   ops for the host-native validation scenario
     LR_JSON_DIR     directory for BENCH_*.json (default: workspace root)
     LR_NO_JSON=1    disable the JSON export
-    LR_TRACE_DIR    alias for --record
 ";
 
 /// Per-thread ops for `--smoke`: small enough that all 19 scenarios
@@ -100,7 +94,7 @@ fn replay_directory(dir: &std::path::Path) -> ! {
     let mut failures = 0usize;
     let mut total_ops = 0u64;
     for path in &paths {
-        match lr_replay::verify_file(path, None) {
+        match lr_replay::verify_file(path) {
             Ok(v) => {
                 total_ops += v.ops;
                 println!(
@@ -195,12 +189,9 @@ fn main() {
     if let Some(dir) = &replay_dir {
         replay_directory(std::path::Path::new(dir));
     }
-    // --record beats the LR_TRACE_DIR alias; both are resolved exactly
-    // once, here, and flow to workers through the plan — never through
-    // mutable process-global env state.
-    let record_dir: Option<std::path::PathBuf> = record_dir
-        .map(std::path::PathBuf::from)
-        .or_else(record_dir_from_env);
+    // The record directory flows to workers through the plan — never
+    // through mutable process-global env state.
+    let record_dir: Option<std::path::PathBuf> = record_dir.map(std::path::PathBuf::from);
     if let Some(dir) = &record_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| {
             fail(&format!(
@@ -245,7 +236,6 @@ fn main() {
         scenarios: selected,
         series_filter,
         threads,
-        max_threads: max_threads_from_env(),
         ops,
         jobs: jobs.unwrap_or_else(default_jobs),
         json: JsonPolicy::from_env(),

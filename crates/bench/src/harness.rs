@@ -124,9 +124,7 @@ pub(crate) fn slug(title: &str) -> String {
 }
 
 /// The paper's thread counts ("We tested for 2, 4, 8, 16, 32, 64
-/// threads/cores"), capped by `max` (useful for quick runs and hosts
-/// with few cores). Pure: the driver parses `LR_MAX_THREADS` exactly
-/// once and passes the cap in.
+/// threads/cores"), capped by `max`.
 pub fn threads_sweep(max: usize) -> Vec<usize> {
     [1, 2, 4, 8, 16, 32, 64]
         .into_iter()
@@ -184,8 +182,6 @@ mod tests {
 
     #[test]
     fn sweep_is_powers_of_two_up_to_cap() {
-        // Pure function of the cap: no environment involved, so this
-        // holds regardless of LR_MAX_THREADS in the test environment.
         assert_eq!(threads_sweep(64), vec![1, 2, 4, 8, 16, 32, 64]);
         assert_eq!(threads_sweep(8), vec![1, 2, 4, 8]);
         assert_eq!(threads_sweep(5), vec![1, 2, 4]);

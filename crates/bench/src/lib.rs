@@ -21,7 +21,4 @@ pub use harness::{threads_sweep, BenchRow};
 pub use report::{JsonPolicy, Report};
 pub use scenario::{CellCtx, CellOut, RecordTo, Scenario, ScenarioKind};
 pub use scenarios::{find, registry};
-pub use sweep::{
-    build_plan, clamp_jobs, default_jobs, max_threads_from_env, record_dir_from_env, run, Plan,
-    PlanOpts,
-};
+pub use sweep::{build_plan, clamp_jobs, default_jobs, run, Plan, PlanOpts};

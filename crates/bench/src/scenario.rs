@@ -112,9 +112,6 @@ pub struct Scenario {
     /// Default per-thread operation count (for Pagerank: node count;
     /// for the native validation: total host ops per thread).
     pub default_ops: u64,
-    /// Scenario-specific operation-count override environment variable
-    /// (e.g. `LR_NATIVE_OPS`), consulted between `--ops` and `LR_OPS`.
-    pub ops_env: Option<&'static str>,
     /// Sim (parallelizable, deterministic) or Host (wall-clock).
     pub kind: ScenarioKind,
     /// Run one grid cell. Must be pure up to the deterministic

@@ -38,7 +38,6 @@ pub static SCENARIO: Scenario = Scenario {
     // Per-thread simulated instructions; enough to amortize thread
     // startup while keeping a full sweep under a minute.
     default_ops: 4_000,
-    ops_env: Some("LR_ENGINE_OPS"),
     kind: ScenarioKind::HostLockstep,
     run_cell,
     annotate: None,

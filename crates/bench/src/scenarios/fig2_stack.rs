@@ -15,7 +15,6 @@ pub static SCENARIO: Scenario = Scenario {
     paper_ref: "Figure 2",
     series: &["treiber-base", "treiber-lease"],
     default_ops: 200,
-    ops_env: None,
     kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,

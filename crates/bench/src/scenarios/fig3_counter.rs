@@ -21,7 +21,6 @@ pub static SCENARIO: Scenario = Scenario {
         "counter-clh",
     ],
     default_ops: 60,
-    ops_env: None,
     kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,

@@ -28,7 +28,6 @@ pub static SCENARIO: Scenario = Scenario {
         "pq-global-lock-lease",
     ],
     default_ops: 30,
-    ops_env: None,
     kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,

@@ -14,7 +14,6 @@ pub static SCENARIO: Scenario = Scenario {
     paper_ref: "Figure 3",
     series: &["msqueue-base", "msqueue-lease", "msqueue-multilease"],
     default_ops: 150,
-    ops_env: None,
     kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,

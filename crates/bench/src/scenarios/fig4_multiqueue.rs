@@ -17,7 +17,6 @@ pub static SCENARIO: Scenario = Scenario {
     paper_ref: "Figure 4",
     series: &["multiqueue-base", "multiqueue-lease"],
     default_ops: 40,
-    ops_env: None,
     kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,

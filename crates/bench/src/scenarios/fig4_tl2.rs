@@ -14,7 +14,6 @@ pub static SCENARIO: Scenario = Scenario {
     paper_ref: "Figure 4",
     series: &["tl2-base", "tl2-single-lease", "tl2-hw-multilease"],
     default_ops: 120,
-    ops_env: None,
     kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,

@@ -17,7 +17,6 @@ pub static SCENARIO: Scenario = Scenario {
     series: &["pagerank-tts-base", "pagerank-lease"],
     // The ops knob doubles as the graph node count for this scenario.
     default_ops: 300,
-    ops_env: None,
     kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,

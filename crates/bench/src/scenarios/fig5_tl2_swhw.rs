@@ -13,7 +13,6 @@ pub static SCENARIO: Scenario = Scenario {
     paper_ref: "Figure 5",
     series: &["tl2-hw-multilease", "tl2-sw-multilease"],
     default_ops: 120,
-    ops_env: None,
     kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,

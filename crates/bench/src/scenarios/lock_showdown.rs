@@ -48,7 +48,6 @@ pub static SCENARIO: Scenario = Scenario {
         "ccsynch",
     ],
     default_ops: 256,
-    ops_env: Some("LR_DLOCK_OPS"),
     kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,

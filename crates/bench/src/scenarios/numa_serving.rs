@@ -48,7 +48,6 @@ pub static SCENARIO: Scenario = Scenario {
         "msi.s1", "msi.s2", "msi.s4", "lease.s1", "lease.s2", "lease.s4", "nr.s1", "nr.s2", "nr.s4",
     ],
     default_ops: 48,
-    ops_env: Some("LR_NUMA_OPS"),
     kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,

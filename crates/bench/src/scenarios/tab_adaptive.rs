@@ -37,7 +37,6 @@ pub static SCENARIO: Scenario = Scenario {
         "rmw-adaptive-60",
     ],
     default_ops: 120,
-    ops_env: None,
     kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,

@@ -20,7 +20,6 @@ pub static SCENARIO: Scenario = Scenario {
         "treiber-lease-prio",
     ],
     default_ops: 80,
-    ops_env: None,
     kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,

@@ -24,7 +24,6 @@ pub static SCENARIO: Scenario = Scenario {
         "queue-lease-single-entry",
     ],
     default_ops: 80,
-    ops_env: None,
     kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,

@@ -25,7 +25,6 @@ pub static SCENARIO: Scenario = Scenario {
         "skiplist-set-base",
     ],
     default_ops: 40,
-    ops_env: None,
     kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,

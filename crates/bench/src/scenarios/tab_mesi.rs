@@ -20,7 +20,6 @@ pub static SCENARIO: Scenario = Scenario {
         "stack-lease-mesi",
     ],
     default_ops: 120,
-    ops_env: None,
     kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,

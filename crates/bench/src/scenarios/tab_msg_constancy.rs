@@ -21,7 +21,6 @@ pub static SCENARIO: Scenario = Scenario {
     paper_ref: "§7",
     series: &["stack-base", "stack-lease-20k", "stack-lease-1k"],
     default_ops: 120,
-    ops_env: None,
     kind: ScenarioKind::Sim,
     run_cell,
     annotate: Some(growth_lines),

@@ -30,7 +30,6 @@ pub static SCENARIO: Scenario = Scenario {
     series: &["contended-faa", "lease-churn"],
     // Per-thread simulated instructions, as in engine_throughput.
     default_ops: 4_000,
-    ops_env: Some("LR_REPLAY_OPS"),
     kind: ScenarioKind::HostLockstep,
     run_cell,
     annotate: None,

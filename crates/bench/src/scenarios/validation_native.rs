@@ -24,9 +24,8 @@ pub static SCENARIO: Scenario = Scenario {
     paper_ref: "§7 (validation)",
     series: &["native-stack", "native-queue"],
     // Host wall-clock timing needs far more ops than the simulated
-    // benches; LR_NATIVE_OPS keeps its historical override role.
+    // benches.
     default_ops: 200_000,
-    ops_env: Some("LR_NATIVE_OPS"),
     kind: ScenarioKind::Host,
     run_cell,
     annotate: None,

@@ -45,20 +45,17 @@ pub struct PlanOpts {
     pub scenarios: Vec<&'static Scenario>,
     /// Keep only series whose name contains this substring.
     pub series_filter: Option<String>,
-    /// Explicit thread axis (default: paper sweep capped by
-    /// `max_threads`).
+    /// Explicit thread axis (default: the paper's sweep, 1 to 64).
     pub threads: Option<Vec<usize>>,
-    /// Cap for the default paper thread sweep.
-    pub max_threads: usize,
     /// Per-thread operation-count override (`--ops` / smoke mode);
-    /// takes precedence over every environment knob.
+    /// takes precedence over each scenario's default.
     pub ops: Option<u64>,
     /// Worker thread count for sim cells.
     pub jobs: usize,
     pub json: JsonPolicy,
-    /// Trace-record directory (`--record DIR` / the `LR_TRACE_DIR`
-    /// entry-point alias). Threaded through the plan to each cell
-    /// explicitly; workers never consult the environment.
+    /// Trace-record directory (`--record DIR`). Threaded through the
+    /// plan to each cell explicitly; workers never consult the
+    /// environment.
     pub record_dir: Option<PathBuf>,
 }
 
@@ -68,26 +65,12 @@ impl Default for PlanOpts {
             scenarios: scenarios::registry().to_vec(),
             series_filter: None,
             threads: None,
-            max_threads: 64,
             ops: None,
             jobs: default_jobs(),
             json: JsonPolicy::disabled(),
             record_dir: None,
         }
     }
-}
-
-/// Read the `LR_TRACE_DIR` alias for `--record` once, at an entry
-/// point. This is the only place the knob is consulted: the value flows
-/// into [`PlanOpts::record_dir`] and from there through the plan, so
-/// concurrently-running sweep workers never touch process-global env
-/// state.
-pub fn record_dir_from_env() -> Option<PathBuf> {
-    let v = std::env::var_os("LR_TRACE_DIR")?;
-    if v.is_empty() {
-        return None;
-    }
-    Some(PathBuf::from(v))
 }
 
 /// Host parallelism, the default `--jobs`.
@@ -105,31 +88,10 @@ pub fn clamp_jobs(jobs: usize, host: usize) -> usize {
     jobs.min(host).max(1)
 }
 
-/// Parse `LR_MAX_THREADS` (the sweep cap) exactly once, at plan time —
-/// [`threads_sweep`] itself is pure.
-pub fn max_threads_from_env() -> usize {
-    std::env::var("LR_MAX_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(64)
-}
-
-/// Resolve one scenario's per-thread operation count:
-/// explicit override (`--ops`) > scenario-specific env knob
-/// (e.g. `LR_NATIVE_OPS`) > `LR_OPS` > the scenario default.
+/// Resolve one scenario's per-thread operation count: the explicit
+/// override (`--ops`), else the scenario default.
 fn resolve_ops(sc: &Scenario, over: Option<u64>) -> u64 {
-    if let Some(o) = over {
-        return o;
-    }
-    if let Some(var) = sc.ops_env {
-        if let Some(o) = std::env::var(var).ok().and_then(|v| v.parse().ok()) {
-            return o;
-        }
-    }
-    std::env::var("LR_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(sc.default_ops)
+    over.unwrap_or(sc.default_ops)
 }
 
 /// Expand `opts` into the canonical cell list: scenario-major (registry
@@ -139,10 +101,7 @@ pub fn build_plan(opts: &PlanOpts) -> Plan {
     let mut cells = Vec::new();
     for sc in &opts.scenarios {
         let ops = resolve_ops(sc, opts.ops);
-        let mut axis = opts
-            .threads
-            .clone()
-            .unwrap_or_else(|| threads_sweep(opts.max_threads));
+        let mut axis = opts.threads.clone().unwrap_or_else(|| threads_sweep(64));
         if sc.kind == ScenarioKind::Host {
             // Wall-clock cells beyond the host's cores only oversubscribe.
             axis.retain(|&t| t <= host_cap);

@@ -26,29 +26,23 @@ USAGE:
 MODES (default: campaign):
     campaign             Check every seed in [S, S+N): record live under
                          msi/mesi/lease-tight, verify each trace by
-                         engine-only replay under heap AND wheel event
-                         queues, check FAA-ledger + app-ops invariants,
-                         probe decoder robustness. Any finding is shrunk
-                         to a minimal reproducer, persisted to the repro
-                         dir, and fails the run.
+                         engine-only replay, check FAA-ledger + app-ops
+                         invariants, probe decoder robustness. Any
+                         finding is shrunk to a minimal reproducer,
+                         persisted to the repro dir, and fails the run.
     --self-test          Inject a reply mutation into a real recording
                          and require catch + shrink-to-1-op + persist.
     --regen-corpus DIR   (Re)write the healthy corpus entries for the
                          first N seeds under every variant.
-    --check-corpus DIR   Replay every *.lrt in DIR under both event
-                         queues; exit non-zero on any divergence.
+    --check-corpus DIR   Replay every *.lrt in DIR once; exit non-zero
+                         on any divergence.
 
 OPTIONS:
-    --seeds N            Campaign/corpus seed count (default:
-                         LR_FUZZ_SEEDS or 64)
+    --seeds N            Campaign/corpus seed count (default 64)
     --base-seed S        First campaign seed (default 0)
     --repro-dir DIR      Where shrunk reproducers are persisted
                          (default: corpus)
     -h, --help           This help
-
-ENVIRONMENT:
-    LR_FUZZ_SEEDS        Default for --seeds (CI opt-in knob for longer
-                         campaigns)
 ";
 
 fn fail(msg: &str) -> ! {
@@ -57,19 +51,9 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn seeds_default() -> u64 {
-    match std::env::var("LR_FUZZ_SEEDS") {
-        Ok(v) => v
-            .trim()
-            .parse()
-            .unwrap_or_else(|_| fail(&format!("bad LR_FUZZ_SEEDS value {v:?}"))),
-        Err(_) => 64,
-    }
-}
-
 fn campaign(base: u64, seeds: u64, repro_dir: &std::path::Path) -> ! {
     println!(
-        "lr-fuzz: campaign seeds {base}..{} — 3 variants x 2 queue stores per seed",
+        "lr-fuzz: campaign seeds {base}..{} — 3 variants per seed",
         base + seeds
     );
     let mut total_ops = 0u64;
@@ -135,7 +119,7 @@ fn campaign(base: u64, seeds: u64, repro_dir: &std::path::Path) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seeds: Option<u64> = None;
+    let mut seeds = 64u64;
     let mut base_seed = 0u64;
     let mut repro_dir = std::path::PathBuf::from("corpus");
     let mut do_self_test = false;
@@ -155,11 +139,9 @@ fn main() {
                 return;
             }
             "--seeds" => {
-                seeds = Some(
-                    value("--seeds")
-                        .parse()
-                        .unwrap_or_else(|_| fail("bad --seeds value")),
-                )
+                seeds = value("--seeds")
+                    .parse()
+                    .unwrap_or_else(|_| fail("bad --seeds value"))
             }
             "--base-seed" => {
                 base_seed = value("--base-seed")
@@ -173,7 +155,6 @@ fn main() {
             other => fail(&format!("unknown argument {other:?}")),
         }
     }
-    let seeds = seeds.unwrap_or_else(seeds_default);
     if seeds == 0 {
         fail("--seeds must be at least 1");
     }
@@ -220,8 +201,7 @@ fn main() {
         match lr_fuzz::check_corpus(&dir) {
             Ok((files, ops)) => {
                 println!(
-                    "lr-fuzz: corpus clean — {files} trace(s), {ops} ops replayed byte-identical \
-                     under heap and wheel queues"
+                    "lr-fuzz: corpus clean — {files} trace(s), {ops} ops replayed byte-identical"
                 );
                 return;
             }

@@ -119,8 +119,8 @@ pub fn persist_repro(dir: &Path, name: &str, trace: &MachineTrace) -> Result<Pat
     Ok(path)
 }
 
-/// Replay every `*.lrt` in `dir` under **both** event-queue stores.
-/// Returns `(files, total replayed ops)` or the list of failures.
+/// Replay every `*.lrt` in `dir` once. Returns `(files, total replayed
+/// ops)` or the list of failures.
 pub fn check(dir: &Path) -> Result<(usize, u64), Vec<String>> {
     let paths = match lr_replay::trace_files(dir) {
         Ok(p) => p,
@@ -132,14 +132,9 @@ pub fn check(dir: &Path) -> Result<(usize, u64), Vec<String>> {
     let mut failures = Vec::new();
     let mut total_ops = 0u64;
     for path in &paths {
-        for queue in [
-            lr_machine::EventQueueKind::Heap,
-            lr_machine::EventQueueKind::Wheel,
-        ] {
-            match lr_replay::verify_file(path, Some(queue)) {
-                Ok(v) => total_ops += v.ops,
-                Err(e) => failures.push(format!("{} [{queue:?}]: {e}", path.display())),
-            }
+        match lr_replay::verify_file(path) {
+            Ok(v) => total_ops += v.ops,
+            Err(e) => failures.push(format!("{}: {e}", path.display())),
         }
     }
     if failures.is_empty() {

@@ -5,11 +5,9 @@
 //! * **machine variant** ([`Variant`]): MSI baseline, MESI, and a
 //!   deliberately hostile lease configuration (tight expiry, tiny
 //!   lease table, prioritization on);
-//! * **engine variant**: every recorded trace is re-verified under
-//!   both event-queue stores, binary heap and timing wheel
-//!   ([`lr_replay::verify_with_queue`]) — both must be byte-identical;
-//! * **record/replay**: the engine-only replay must reproduce every
-//!   per-op reply, the final `MachineStats` JSON, and the event count.
+//! * **record/replay**: every recorded trace is re-verified engine-only
+//!   ([`lr_replay::verify`]), which must reproduce every per-op reply,
+//!   the final `MachineStats` JSON, and the event count.
 //!
 //! Independent of all axes, the workload's built-in invariants must
 //! hold: the counter ledger ([`Workload::counter_ledger`]) and the
@@ -17,7 +15,7 @@
 
 use crate::gen::{GenOp, Workload, DLOCK_ALGO_COUNT, MAX_COUNTERS};
 use lr_ds::ReplicatedCounter;
-use lr_machine::{Addr, EventQueueKind, Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{Addr, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::tracefmt::{self, MachineTrace};
 use lr_sim_core::CoherenceProtocol;
 use lr_sync::{CsApply, Dlock, DlockHandle, DLOCK_ALGOS};
@@ -314,9 +312,9 @@ pub fn record_workload(w: &Workload, variant: Variant) -> Result<RunOutput, Stri
     })
 }
 
-/// Run every check for one (workload, variant) pair; `Ok` carries the
-/// number of replay verifications performed.
-pub fn check_variant(w: &Workload, variant: Variant) -> Result<usize, Finding> {
+/// Run every check for one (workload, variant) pair, ending with one
+/// replay verification of its trace.
+pub fn check_variant(w: &Workload, variant: Variant) -> Result<(), Finding> {
     let finding = |kind: &'static str, detail: String| Finding {
         seed: w.seed,
         variant: variant.name(),
@@ -354,13 +352,8 @@ pub fn check_variant(w: &Workload, variant: Variant) -> Result<usize, Finding> {
             ),
         ));
     }
-    let mut verified = 0;
-    for queue in [EventQueueKind::Heap, EventQueueKind::Wheel] {
-        lr_replay::verify_with_queue(&out.trace, Some(queue))
-            .map_err(|d| finding("divergence", format!("[{queue:?}] {d}")))?;
-        verified += 1;
-    }
-    Ok(verified)
+    lr_replay::verify(&out.trace).map_err(|d| finding("divergence", d.to_string()))?;
+    Ok(())
 }
 
 /// Trace-encoding robustness probe: the encoder must round-trip, and a
@@ -429,18 +422,17 @@ pub struct SeedReport {
     pub seed: u64,
     pub threads: usize,
     pub ops: u64,
-    /// Replay verifications performed (variants × queue stores).
+    /// Replay verifications performed (one per variant).
     pub verified: usize,
 }
 
-/// Run the full check matrix for one workload: every [`Variant`], both
-/// event-queue stores, ledger/app-ops invariants, encoding robustness,
+/// Run the full check matrix for one workload: every [`Variant`],
+/// replay verification, ledger/app-ops invariants, encoding robustness,
 /// and (on every eighth seed) a record-twice determinism check.
 pub fn check_workload(w: &Workload) -> Result<SeedReport, Finding> {
     let seed = w.seed;
-    let mut verified = 0;
     for v in VARIANTS {
-        verified += check_variant(w, v)?;
+        check_variant(w, v)?;
     }
     let out = record_workload(w, Variant::Msi).map_err(|e| Finding {
         seed,
@@ -469,7 +461,7 @@ pub fn check_workload(w: &Workload) -> Result<SeedReport, Finding> {
         seed,
         threads: w.threads(),
         ops: w.total_ops(),
-        verified,
+        verified: VARIANTS.len(),
     })
 }
 

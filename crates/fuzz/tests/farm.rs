@@ -13,24 +13,24 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The first campaign seeds pass the whole check matrix (3 variants ×
-/// 2 queue stores + invariants + decode robustness).
+/// The first campaign seeds pass the whole check matrix (3 variants,
+/// one replay each, + invariants + decode robustness).
 #[test]
 fn first_seeds_are_clean() {
     for seed in 0..6 {
         let r = check_seed(seed).unwrap_or_else(|f| panic!("{f}"));
-        assert_eq!(r.verified, 6, "3 variants x 2 queues");
+        assert_eq!(r.verified, 3, "one replay per variant");
         assert!(r.ops > 0);
     }
 }
 
-/// Every checked-in corpus trace replays clean under both event-queue
-/// stores with the tile-ownership assertions compiled in (debug/test
-/// builds always carry them; the CI `strict-invariants` pass re-runs
-/// this test with the mid-flight single-writer sweeps enabled as well). This drives
-/// the message-passing coherence handlers through every recorded
-/// protocol interleaving while proving no handler ever touches another
-/// tile's slice.
+/// Every checked-in corpus trace replays clean with the tile-ownership
+/// assertions compiled in (debug/test builds always carry them; the CI
+/// `strict-invariants` pass re-runs this test with the mid-flight
+/// single-writer sweeps and the event queue's reference check enabled
+/// as well). This drives the message-passing coherence handlers through
+/// every recorded protocol interleaving while proving no handler ever
+/// touches another tile's slice.
 #[test]
 fn checked_in_corpus_replays_clean_with_ownership_assertions() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
@@ -96,7 +96,7 @@ fn tamper_coordinates_match_divergence_report() {
 }
 
 /// Corpus regeneration is deterministic (two regens are byte-identical)
-/// and the result passes the corpus gate under both queue stores.
+/// and the result passes the corpus gate.
 #[test]
 fn corpus_regen_is_deterministic_and_checkable() {
     let (a, b) = (scratch("corpus_a"), scratch("corpus_b"));

@@ -37,6 +37,5 @@ pub use barrier::SimBarrier;
 pub use ctx::ThreadCtx;
 pub use machine::{EngineInfo, Machine, OpSource, RecordedRun, SourceAbort, ThreadFn, TraceOutput};
 pub use proto::{AddrVec, Op, Reply, Request};
-pub use rendezvous::configured_spin_rounds;
 
-pub use lr_sim_core::{Addr, CoreId, Cycle, EventQueueKind, LineAddr, MachineStats, SystemConfig};
+pub use lr_sim_core::{Addr, CoreId, Cycle, LineAddr, MachineStats, SystemConfig};

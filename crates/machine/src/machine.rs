@@ -25,9 +25,7 @@ use lr_coherence::{AccessKind, CohContext, CohEvent, CoherenceEngine, ProbeActio
 use lr_lease::{ArmedCounter, BeginLease, LeaseTable, MultiLeaseBegin};
 use lr_sim_core::trace::{TraceEvent, TraceRing, TraceSink};
 use lr_sim_core::tracefmt::{self, MachineTrace, OpRecord};
-use lr_sim_core::{
-    CoreId, Cycle, EventQueueKind, LineAddr, MachineStats, ShardedQueue, SystemConfig,
-};
+use lr_sim_core::{CoreId, Cycle, LineAddr, MachineStats, ShardedQueue, SystemConfig};
 use lr_sim_mem::SimMemory;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
@@ -209,8 +207,7 @@ fn write_trace_file(out: &TraceOutput, trace: &MachineTrace) {
 /// Yield-phase budget pool for worker reply receivers, divided by the
 /// worker count: the more workers are waiting, the longer each host
 /// scheduling rotation, so the quicker each should fall back to parking
-/// (see the comment at the `slot()` construction site in
-/// [`Machine::run_with_memory`]).
+/// (see the comment where `run_inner` builds each worker's slots).
 const WORKER_YIELD_CAP: u32 = 16;
 
 /// Host-level observability for one run: how the execution engine (not
@@ -526,9 +523,6 @@ pub struct Machine {
     cfg: SystemConfig,
     mem: SimMemory,
     trace_depth: usize,
-    /// Explicit event-queue store override; `None` follows the
-    /// process-wide `LR_EVENTQ` default.
-    eventq: Option<EventQueueKind>,
     /// When set, a live run records itself and writes the trace here.
     trace_out: Option<TraceOutput>,
 }
@@ -557,18 +551,8 @@ impl Machine {
             cfg,
             mem: SimMemory::new(),
             trace_depth: 0,
-            eventq: None,
             trace_out: None,
         }
-    }
-
-    /// Pin this machine to a specific event-queue store, bypassing the
-    /// `LR_EVENTQ` process default. Simulated results are required to be
-    /// byte-identical across stores; this exists for the tests that
-    /// prove it (heap/wheel A/B) — production callers keep the default.
-    pub fn with_event_queue(mut self, kind: EventQueueKind) -> Self {
-        self.eventq = Some(kind);
-        self
     }
 
     /// Keep a ring of the last `depth` structured protocol/machine trace
@@ -585,10 +569,8 @@ impl Machine {
     /// `dir` as `{label}_{config-fingerprint}.lrt` (a `-2`, `-3`, …
     /// suffix is appended if the name is taken — creation is atomic, so
     /// concurrent runs sharing a directory never overwrite each other).
-    /// The explicit (dir, label) pair replaces the old process-global
-    /// `LR_TRACE_DIR` env probe: drivers thread their record directory
-    /// through here, and any env knob is resolved once at the entry
-    /// point, never per-`Machine`.
+    /// Drivers thread their record directory through here; no
+    /// `Machine` reads the environment.
     pub fn with_trace_output(mut self, dir: impl Into<PathBuf>, label: impl Into<String>) -> Self {
         self.trace_out = Some(TraceOutput {
             dir: dir.into(),
@@ -694,7 +676,6 @@ impl Machine {
         let trace_depth = self.trace_depth;
         let trace_out = self.trace_out;
         let cfg = self.cfg;
-        let kind = self.eventq.unwrap_or_else(EventQueueKind::from_env);
         let (n, is_live) = match &mode {
             Mode::Live { programs, .. } => (programs.len(), true),
             Mode::Source { threads, .. } => (*threads, false),
@@ -716,7 +697,7 @@ impl Machine {
         // so it must be taken before any simulated execution.
         let pre_image = record.then(|| mem.snapshot());
         let mut ms = MachineState {
-            queue: ShardedQueue::with_kind(kind, cfg.num_cores, 1, 0),
+            queue: ShardedQueue::new(cfg.num_cores),
             tables: (0..cfg.num_cores)
                 .map(|_| LeaseTable::new(cfg.lease.clone()))
                 .collect(),

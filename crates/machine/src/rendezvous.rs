@@ -42,33 +42,25 @@ const FULL: u8 = 1;
 /// The consumer is parked (or about to park) waiting for a value.
 const WAITING: u8 = 2;
 
-/// Default pure-spin iterations before yielding. Only useful on
-/// multicore hosts (the peer must be able to run *while* we spin);
-/// covers the peer's handoff work when it is already on another core.
-/// Overridable at process start via `LR_SPIN_ROUNDS` (see
-/// [`configured_spin_rounds`]) so the fuzz farm and benches can sweep
-/// the handoff tuning space.
+/// Pure-spin iterations before yielding. Only useful on multicore
+/// hosts (the peer must be able to run *while* we spin); covers the
+/// peer's handoff work when it is already on another core.
 ///
-/// Tuning data (`LR_FORCE_SPIN=1 LR_SPIN_ROUNDS=… lr-bench --scenario
-/// engine_throughput --threads 8 --ops 4000`, single-hardware-thread
-/// container): spinning where the peer cannot run is pure loss, and the
-/// loss scales linearly with the round count — contended-faa retires
-/// 440k sim-ops/s at 0 rounds, 296k at 32, 145k at 128, 51k at 512,
-/// 14k at 2048 (private-rw and events-resident degrade in the same
-/// ratios). The un-forced default path measures within noise of the
-/// 0-round row, i.e. the `available_parallelism` probe that disables
-/// the spin phase on single-threaded hosts is doing exactly its job —
-/// which is why 128 is safe to keep as the multicore default: it is
-/// never reached on hosts where it measures as harmful, and on
-/// multicore hosts it covers the peer's ~100-cycle handoff window
-/// without approaching the yield phase's cost. A multicore host should
-/// re-run the sweep before changing it.
+/// Tuning data (`lr-bench --scenario engine_throughput --threads 8
+/// --ops 4000` on a single-hardware-thread container, with the spin
+/// phase forced on by an override this module no longer has): spinning
+/// where the peer cannot run is pure loss, and the loss scales linearly
+/// with the round count — contended-faa retires 440k sim-ops/s at 0
+/// rounds, 296k at 32, 145k at 128, 51k at 512, 14k at 2048 (private-rw
+/// and events-resident degrade in the same ratios). The default path
+/// measures within noise of the 0-round row, i.e. the
+/// `available_parallelism` probe that disables the spin phase on
+/// single-threaded hosts is doing exactly its job — which is why 128 is
+/// safe as the multicore setting: it is never reached on hosts where it
+/// measures as harmful, and on multicore hosts it covers the peer's
+/// ~100-cycle handoff window without approaching the yield phase's
+/// cost. A multicore host should re-measure before changing it.
 const SPIN_ROUNDS: u32 = 128;
-
-/// Upper bound accepted from `LR_SPIN_ROUNDS`: beyond ~1M iterations a
-/// spin phase only burns the peer's share of the CPU budget, so larger
-/// settings are treated as configuration errors.
-const SPIN_ROUNDS_MAX: u32 = 1 << 20;
 
 /// Bounds for the adaptive `yield_now` budget before parking. A
 /// yielding waiter stays *runnable* — when the value lands it resumes
@@ -91,65 +83,9 @@ const YIELD_INIT: u32 = 64;
 /// is pointless on a single hardware thread, so `recv` skips it there.
 static HOST_CORES: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
 
-/// Cached `LR_FORCE_SPIN` probe: 0 = not yet read, 1 = forced on,
-/// 2 = off. `LR_FORCE_SPIN=1` makes `recv` run the pure-spin phase even
-/// on a single hardware thread, so the spin path is exercisable (and
-/// unit-testable) on single-core CI containers.
-static FORCE_SPIN: AtomicU8 = AtomicU8::new(0);
-
-fn force_spin() -> bool {
-    match FORCE_SPIN.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = std::env::var_os("LR_FORCE_SPIN").is_some_and(|v| v == "1");
-            FORCE_SPIN.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Cached `LR_SPIN_ROUNDS` probe (`u32::MAX` = not yet read; the
-/// sentinel can never be a stored value because valid settings are
-/// capped at [`SPIN_ROUNDS_MAX`]).
-static SPIN_OVERRIDE: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(u32::MAX);
-
-/// Validate one `LR_SPIN_ROUNDS` setting: a base-10 integer in
-/// `0..=SPIN_ROUNDS_MAX` (0 disables the pure-spin phase entirely).
-/// Pure, so the validation is unit-testable without touching the
-/// process environment.
-fn parse_spin_rounds(raw: &str) -> Option<u32> {
-    let v = raw.trim().parse::<u32>().ok()?;
-    (v <= SPIN_ROUNDS_MAX).then_some(v)
-}
-
-/// The pure-spin round count in effect: `LR_SPIN_ROUNDS` if set to a
-/// valid value, else [`SPIN_ROUNDS`]. An invalid setting warns once on
-/// stderr and falls back to the default rather than silently changing
-/// the handoff behaviour. Read once per process and cached.
-pub fn configured_spin_rounds() -> u32 {
-    let cached = SPIN_OVERRIDE.load(Ordering::Relaxed);
-    if cached != u32::MAX {
-        return cached;
-    }
-    let v = match std::env::var("LR_SPIN_ROUNDS") {
-        Ok(s) if !s.is_empty() => parse_spin_rounds(&s).unwrap_or_else(|| {
-            eprintln!(
-                "lr-machine: ignoring invalid LR_SPIN_ROUNDS={s:?} \
-                 (want an integer in 0..={SPIN_ROUNDS_MAX}); using {SPIN_ROUNDS}"
-            );
-            SPIN_ROUNDS
-        }),
-        _ => SPIN_ROUNDS,
-    };
-    SPIN_OVERRIDE.store(v, Ordering::Relaxed);
-    v
-}
-
+/// The pure-spin round count for this host: [`SPIN_ROUNDS`] when it
+/// has more than one hardware thread, 0 otherwise.
 fn spin_rounds() -> u32 {
-    if force_spin() {
-        return configured_spin_rounds();
-    }
     let mut n = HOST_CORES.load(Ordering::Relaxed);
     if n == 0 {
         n = std::thread::available_parallelism()
@@ -158,7 +94,7 @@ fn spin_rounds() -> u32 {
         HOST_CORES.store(n, Ordering::Relaxed);
     }
     if n > 1 {
-        configured_spin_rounds()
+        SPIN_ROUNDS
     } else {
         0
     }
@@ -465,101 +401,15 @@ mod tests {
         assert_eq!(std::sync::Arc::strong_count(&v), 1, "value leaked");
     }
 
-    /// Serializes tests that poke the cached probe statics
-    /// (`FORCE_SPIN`, `SPIN_OVERRIDE`): parallel test threads would
-    /// otherwise observe each other's stores.
-    static PROBE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn force_spin_overrides_single_core_probe() {
-        let _g = PROBE_LOCK.lock().unwrap();
-        // With the override armed, the pure-spin phase must run at full
-        // strength regardless of what available_parallelism reports.
-        FORCE_SPIN.store(1, Ordering::Relaxed);
-        assert_eq!(spin_rounds(), configured_spin_rounds());
-
-        // Drive real cross-thread handoffs through the forced spin path
-        // (on a single-core container this otherwise never executes).
-        let (req_tx, mut req_rx) = slot::<u64>();
-        let (rep_tx, mut rep_rx) = slot::<u64>();
-        let n = 2_000u64;
-        let worker = std::thread::spawn(move || {
-            let mut acc = 0;
-            for i in 0..n {
-                req_tx.send(i).unwrap();
-                acc += rep_rx.recv().unwrap();
-            }
-            acc
-        });
-        for _ in 0..n {
-            let v = req_rx.recv().unwrap();
-            rep_tx.send(v + 1).unwrap();
-        }
-        assert_eq!(worker.join().unwrap(), (0..n).map(|i| i + 1).sum());
-
-        // Re-probe from the environment for any later test.
-        FORCE_SPIN.store(0, Ordering::Relaxed);
-    }
-
+    /// The pure-spin phase runs only where the peer can run while the
+    /// receiver spins: on hosts with more than one hardware thread.
     #[test]
     fn force_spin_off_defers_to_core_count() {
-        let _g = PROBE_LOCK.lock().unwrap();
-        FORCE_SPIN.store(2, Ordering::Relaxed);
         let expected = if std::thread::available_parallelism().map_or(1, |p| p.get()) > 1 {
-            configured_spin_rounds()
+            SPIN_ROUNDS
         } else {
             0
         };
         assert_eq!(spin_rounds(), expected);
-        FORCE_SPIN.store(0, Ordering::Relaxed);
-    }
-
-    #[test]
-    fn spin_rounds_setting_is_validated() {
-        // Valid: plain integers within the cap, surrounding whitespace.
-        assert_eq!(parse_spin_rounds("0"), Some(0));
-        assert_eq!(parse_spin_rounds("128"), Some(128));
-        assert_eq!(parse_spin_rounds(" 4096 "), Some(4096));
-        assert_eq!(
-            parse_spin_rounds(&SPIN_ROUNDS_MAX.to_string()),
-            Some(SPIN_ROUNDS_MAX)
-        );
-        // Invalid: junk, negatives, floats, and values beyond the cap
-        // (which would only burn the peer's CPU budget).
-        for bad in ["", "abc", "-1", "12.5", "1e4", "0x80"] {
-            assert_eq!(parse_spin_rounds(bad), None, "{bad:?} must be rejected");
-        }
-        assert_eq!(
-            parse_spin_rounds(&(SPIN_ROUNDS_MAX as u64 + 1).to_string()),
-            None
-        );
-        assert_eq!(parse_spin_rounds(&u64::MAX.to_string()), None);
-    }
-
-    #[test]
-    fn spin_rounds_override_feeds_the_recv_spin_phase() {
-        let _g = PROBE_LOCK.lock().unwrap();
-        // Arm a cached override as if LR_SPIN_ROUNDS=7 had been read,
-        // and force the spin phase on so the single-core probe cannot
-        // mask it.
-        SPIN_OVERRIDE.store(7, Ordering::Relaxed);
-        FORCE_SPIN.store(1, Ordering::Relaxed);
-        assert_eq!(configured_spin_rounds(), 7);
-        assert_eq!(spin_rounds(), 7);
-        // Zero disables the pure-spin phase entirely.
-        SPIN_OVERRIDE.store(0, Ordering::Relaxed);
-        assert_eq!(spin_rounds(), 0);
-
-        // Handoffs still work with the spin phase disabled (recv falls
-        // straight through to the yield/park phases).
-        let (tx, mut rx) = slot::<u64>();
-        let h = std::thread::spawn(move || rx.recv());
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        tx.send(9).unwrap();
-        assert_eq!(h.join().unwrap(), Ok(9));
-
-        // Restore the unprobed state for other tests.
-        SPIN_OVERRIDE.store(u32::MAX, Ordering::Relaxed);
-        FORCE_SPIN.store(0, Ordering::Relaxed);
     }
 }

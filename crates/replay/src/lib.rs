@@ -24,8 +24,7 @@
 //! traces compact cross-version regression oracles.
 
 use lr_machine::{
-    Cycle, EventQueueKind, LineAddr, Machine, MachineStats, Op, OpSource, Reply, Request,
-    SystemConfig,
+    Cycle, LineAddr, Machine, MachineStats, Op, OpSource, Reply, Request, SystemConfig,
 };
 use lr_sim_core::tracefmt::{self, MachineTrace, TraceError, TraceOp};
 use lr_sim_mem::SimMemory;
@@ -187,29 +186,13 @@ impl OpSource for ReplaySource<'_> {
 /// tampered with or the protocol stack's behaviour changed since the
 /// recording.
 pub fn replay(trace: &MachineTrace) -> ReplayOutcome {
-    replay_inner(trace, trace.config.clone(), None)
-}
-
-/// Like [`replay`] but pinned to a specific event-queue store. The two
-/// stores are required to produce byte-identical simulations, so a
-/// divergence here is an event-queue bug — this is the fuzz farm's
-/// heap-vs-wheel axis.
-pub fn replay_with_queue(trace: &MachineTrace, queue: EventQueueKind) -> ReplayOutcome {
-    replay_inner(trace, trace.config.clone(), Some(queue))
+    replay_with_config(trace, trace.config.clone())
 }
 
 /// Like [`replay`] but under an explicit configuration — deliberately
 /// divergent configs (say, a different `dram_latency`) are how the
 /// divergence detector itself is exercised.
 pub fn replay_with_config(trace: &MachineTrace, cfg: SystemConfig) -> ReplayOutcome {
-    replay_inner(trace, cfg, None)
-}
-
-fn replay_inner(
-    trace: &MachineTrace,
-    cfg: SystemConfig,
-    queue: Option<EventQueueKind>,
-) -> ReplayOutcome {
     if trace.cores.is_empty()
         || cfg.num_cores < 1
         || cfg.num_cores > lr_sim_core::MAX_CORES
@@ -229,9 +212,6 @@ fn replay_inner(
         }));
     }
     let mut machine = Machine::new(cfg).with_trace(REPLAY_TRACE_DEPTH);
-    if let Some(kind) = queue {
-        machine = machine.with_event_queue(kind);
-    }
     machine.setup(|m| *m = SimMemory::restore(&trace.mem));
     let mut source = ReplaySource::new(trace);
     match machine.run_source(trace.cores.len(), &mut source) {
@@ -283,16 +263,7 @@ fn first_diff(a: &str, b: &str) -> String {
 /// identical to the recording: every per-op reply (checked in flight),
 /// the final `MachineStats` JSON, and the engine event count.
 pub fn verify(trace: &MachineTrace) -> Result<MachineStats, Box<Divergence>> {
-    verify_with_queue(trace, None)
-}
-
-/// [`verify`] pinned to an event-queue store (`None` = process default).
-pub fn verify_with_queue(
-    trace: &MachineTrace,
-    queue: Option<EventQueueKind>,
-) -> Result<MachineStats, Box<Divergence>> {
-    let outcome = replay_inner(trace, trace.config.clone(), queue);
-    match outcome {
+    match replay(trace) {
         ReplayOutcome::Matched { stats, events, .. } => {
             let json = stats.to_json();
             if json != trace.stats_json {
@@ -377,13 +348,13 @@ pub struct VerifiedTrace {
     pub stats: MachineStats,
 }
 
-/// Load one trace file and [`verify`] it under the given event-queue
-/// store, folding IO, decode, and divergence failures into one
-/// printable error — the shared engine behind `lr-bench --replay`,
-/// `lr-replay`, and the fuzz farm's corpus gate.
-pub fn verify_file(path: &Path, queue: Option<EventQueueKind>) -> Result<VerifiedTrace, String> {
+/// Load one trace file and [`verify`] it, folding IO, decode, and
+/// divergence failures into one printable error — the shared engine
+/// behind `lr-bench --replay`, `lr-replay`, and the fuzz farm's corpus
+/// gate.
+pub fn verify_file(path: &Path) -> Result<VerifiedTrace, String> {
     let trace = read_trace(path).map_err(|e| e.to_string())?;
-    let stats = verify_with_queue(&trace, queue).map_err(|d| d.to_string())?;
+    let stats = verify(&trace).map_err(|d| d.to_string())?;
     Ok(VerifiedTrace {
         ops: trace.total_ops(),
         cores: trace.cores.len(),
@@ -420,17 +391,6 @@ mod tests {
             })
             .collect();
         machine.run_recorded(progs).trace
-    }
-
-    /// The engine's one variant axis, the event-queue store: one
-    /// recording must verify byte-for-byte under the heap and the wheel.
-    #[test]
-    fn replay_is_byte_identical_for_every_engine_variant() {
-        let trace = record_contended(4, 30);
-        for queue in [EventQueueKind::Heap, EventQueueKind::Wheel] {
-            verify_with_queue(&trace, Some(queue))
-                .unwrap_or_else(|d| panic!("{queue:?} replay diverged: {d}"));
-        }
     }
 
     /// Replay takes every machine the recorder can: a 128-core ×

@@ -3,13 +3,12 @@
 //! `reply_flag`), into the final stats JSON, and into the engine event
 //! count, and require the replayer to (a) catch each one, (b) report
 //! the *first* divergent record with its core/offset/cycle/line
-//! coordinates, and (c) behave identically under both event-queue
-//! stores.
+//! coordinates.
 //!
 //! [`OpRecord`]: lr_sim_core::tracefmt::OpRecord
 
-use lr_machine::{EventQueueKind, Machine, SystemConfig, ThreadCtx, ThreadFn};
-use lr_replay::{replay, verify, verify_with_queue, ReplayOutcome};
+use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_replay::{replay, verify, ReplayOutcome};
 use lr_sim_core::tracefmt::{MachineTrace, TraceOp};
 
 /// Record a short contended run: every thread loops lease → read → CAS
@@ -167,26 +166,5 @@ fn live_event_count_mutation_fails_verify() {
         d.detail.contains("events"),
         "detail must name the event-count mismatch: {}",
         d.detail
-    );
-}
-
-/// The heap/wheel event-queue axis: a clean trace verifies under both
-/// stores, and a tampered one is caught under both — with identical
-/// coordinates.
-#[test]
-fn both_event_queues_verify_and_both_catch_tampering() {
-    let trace = record(2, 3);
-    let heap = verify_with_queue(&trace, Some(EventQueueKind::Heap)).expect("heap replay clean");
-    let wheel = verify_with_queue(&trace, Some(EventQueueKind::Wheel)).expect("wheel replay clean");
-    assert_eq!(heap.to_json(), wheel.to_json());
-
-    let mut bad = trace;
-    let off = reply_offsets(&bad, 1)[0];
-    bad.cores[1][off].reply_value ^= 1;
-    let dh = verify_with_queue(&bad, Some(EventQueueKind::Heap)).expect_err("heap must catch");
-    let dw = verify_with_queue(&bad, Some(EventQueueKind::Wheel)).expect_err("wheel must catch");
-    assert_eq!(
-        (dh.core, dh.offset, dh.cycle),
-        (dw.core, dw.offset, dw.cycle)
     );
 }

@@ -6,92 +6,51 @@
 //! [`EventQueue::push_at_seq`] instead. Either way every simulation run
 //! with a fixed seed is bit-for-bit reproducible.
 //!
-//! Two interchangeable backing stores implement that contract:
+//! The one backing store is the hierarchical timing wheel of
+//! [`crate::wheel`]: O(1) amortized push/pop, built for the far-future
+//! horizon that lease timeouts keep resident.
 //!
-//! * [`EventQueueKind::Wheel`] (default) — the hierarchical timing
-//!   wheel of [`crate::wheel`]: O(1) amortized push/pop, built for the
-//!   far-future horizon that lease timeouts keep resident;
-//! * [`EventQueueKind::Heap`] — the original `BinaryHeap`, kept as the
-//!   reference implementation and the CI A/B baseline.
-//!
-//! The `LR_EVENTQ=heap|wheel` environment variable (read once per
-//! process) selects the store used by [`EventQueue::new`]; both must
-//! produce byte-identical simulations, which `ci.sh` enforces by
-//! diffing full smoke sweeps.
+//! Under the `strict-invariants` feature the queue also mirrors every
+//! pending `(time, seq)` key in a key-only `BinaryHeap` and asserts that
+//! each pop returns that reference's minimum, so every pop of a strict
+//! run is checked against an independent implementation of the order.
 
 use crate::wheel::Wheel;
 use crate::Cycle;
+#[cfg(feature = "strict-invariants")]
 use std::cmp::Reverse;
+#[cfg(feature = "strict-invariants")]
 use std::collections::BinaryHeap;
-use std::sync::OnceLock;
 
-/// Which backing store an [`EventQueue`] uses.
+/// The event queue's backing store. The timing wheel is the only one;
+/// the type remains because the host-performance benchmark
+/// (`perfbench/`) names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventQueueKind {
-    /// `BinaryHeap` reference implementation: O(log n) per operation.
-    Heap,
-    /// Hierarchical timing wheel: O(1) amortized (the default).
+    /// Hierarchical timing wheel: O(1) amortized.
     Wheel,
 }
 
-static KIND_FROM_ENV: OnceLock<EventQueueKind> = OnceLock::new();
-
 impl EventQueueKind {
-    /// The process-wide default, from `LR_EVENTQ` (`heap` | `wheel`,
-    /// default `wheel`). Parsed once; a bad value aborts rather than
-    /// silently benchmarking the wrong engine.
+    /// The store [`EventQueue::new`] uses: always the wheel. Kept for the
+    /// benchmark's calls; it reads no environment.
     pub fn from_env() -> Self {
-        *KIND_FROM_ENV.get_or_init(|| match std::env::var("LR_EVENTQ") {
-            Err(_) => EventQueueKind::Wheel,
-            Ok(v) if v == "wheel" => EventQueueKind::Wheel,
-            Ok(v) if v == "heap" => EventQueueKind::Heap,
-            Ok(v) => {
-                panic!("LR_EVENTQ={v:?} is not a known event queue (use \"heap\" or \"wheel\")")
-            }
-        })
+        EventQueueKind::Wheel
     }
 }
 
 /// A time-ordered event queue with deterministic tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    store: Store<E>,
+    wheel: Wheel<E>,
     seq: u64,
     now: Cycle,
     processed: u64,
-    /// Last popped `(time, seq)`, for the full-ordering audit.
+    /// Reference order: every pending `(time, seq)`, min first. It
+    /// keeps its capacity across pops, so a warmed-up run allocates no
+    /// more than the wheel's own slab does.
     #[cfg(feature = "strict-invariants")]
-    last: Option<(Cycle, u64)>,
-}
-
-#[derive(Debug)]
-enum Store<E> {
-    Heap(BinaryHeap<Reverse<Entry<E>>>),
-    Wheel(Wheel<E>),
-}
-
-#[derive(Debug)]
-struct Entry<E> {
-    time: Cycle,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
+    reference: BinaryHeap<Reverse<(Cycle, u64)>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -101,35 +60,22 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue at time 0, backed by the process-wide default
-    /// store ([`EventQueueKind::from_env`]).
+    /// An empty queue at time 0.
     pub fn new() -> Self {
-        Self::with_kind(EventQueueKind::from_env())
-    }
-
-    /// An empty queue at time 0 with an explicitly chosen backing store
-    /// (tests and A/B comparisons; production callers use
-    /// [`EventQueue::new`]).
-    pub fn with_kind(kind: EventQueueKind) -> Self {
         EventQueue {
-            store: match kind {
-                EventQueueKind::Heap => Store::Heap(BinaryHeap::new()),
-                EventQueueKind::Wheel => Store::Wheel(Wheel::new()),
-            },
+            wheel: Wheel::new(),
             seq: 0,
             now: 0,
             processed: 0,
             #[cfg(feature = "strict-invariants")]
-            last: None,
+            reference: BinaryHeap::new(),
         }
     }
 
-    /// Which backing store this queue uses.
-    pub fn kind(&self) -> EventQueueKind {
-        match self.store {
-            Store::Heap(_) => EventQueueKind::Heap,
-            Store::Wheel(_) => EventQueueKind::Wheel,
-        }
+    /// [`EventQueue::new`]; `kind` has one value. Kept for the
+    /// benchmark's calls.
+    pub fn with_kind(_kind: EventQueueKind) -> Self {
+        Self::new()
     }
 
     /// Current simulated time: the timestamp of the last popped event.
@@ -147,10 +93,7 @@ impl<E> EventQueue<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.store {
-            Store::Heap(h) => h.len(),
-            Store::Wheel(w) => w.len(),
-        }
+        self.wheel.len()
     }
 
     /// True if no events are pending.
@@ -175,8 +118,9 @@ impl<E> EventQueue<E> {
     /// (`src-tile` ∥ per-src-tile push counter), so that ordering by
     /// `(time, seq)` is a pure function of per-tile causality. Keys
     /// must be unique per `(time, seq)` pair but need *not* arrive in
-    /// ascending order; both stores order same-time entries by key (the
-    /// wheel by an ordered insert into its one-cycle level-0 slots).
+    /// ascending order, and a key may land at the current cycle below
+    /// the last popped one: the wheel orders same-time entries by key
+    /// (an ordered insert into its one-cycle level-0 slots).
     pub fn push_at_seq(&mut self, time: Cycle, seq: u64, payload: E) {
         assert!(
             time >= self.now,
@@ -184,18 +128,9 @@ impl<E> EventQueue<E> {
             time,
             self.now
         );
-        // A caller-supplied canonical key may legitimately land at the
-        // current cycle *below* the last popped key (same cycle, lower
-        // source tile, pushed after that pop) — pops before this push
-        // are no longer comparable, so restart the ordering audit here.
         #[cfg(feature = "strict-invariants")]
-        if self.last.is_some_and(|last| (time, seq) <= last) {
-            self.last = None;
-        }
-        match &mut self.store {
-            Store::Heap(h) => h.push(Reverse(Entry { time, seq, payload })),
-            Store::Wheel(w) => w.push(time, seq, payload),
-        }
+        self.reference.push(Reverse((time, seq)));
+        self.wheel.push(time, seq, payload);
     }
 
     /// Schedule `payload` `delay` cycles after the current time.
@@ -215,10 +150,7 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest event, advancing the simulated clock to it.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let (time, seq, payload) = match &mut self.store {
-            Store::Heap(h) => h.pop().map(|Reverse(e)| (e.time, e.seq, e.payload)),
-            Store::Wheel(w) => w.pop(),
-        }?;
+        let (time, seq, payload) = self.wheel.pop()?;
         // Always-on (one branch per event): simulated time never moves
         // backwards, in release builds too — a queue-ordering bug here
         // would silently corrupt every downstream statistic.
@@ -228,19 +160,20 @@ impl<E> EventQueue<E> {
             time,
             self.now
         );
-        // Full-ordering audit: pops are strictly increasing in
-        // (time, seq) — an exact stable FIFO per cycle — except across
-        // a keyed push at-or-below the last pop, which resets `last`
-        // (see `push_at_seq`).
+        // Reference check: the wheel must pop the `(time, seq)` minimum
+        // of everything pending.
         #[cfg(feature = "strict-invariants")]
         {
-            if let Some((lt, ls)) = self.last {
-                assert!(
-                    (time, seq) > (lt, ls),
-                    "event order violated: popped (t={time}, seq={seq}) after (t={lt}, seq={ls})"
-                );
-            }
-            self.last = Some((time, seq));
+            let Reverse(want) = self
+                .reference
+                .pop()
+                .expect("reference holds every pending key");
+            assert_eq!(
+                (time, seq),
+                want,
+                "event order violated: popped (t, seq) = {:?}, pending minimum is {want:?}",
+                (time, seq)
+            );
         }
         #[cfg(not(feature = "strict-invariants"))]
         let _ = seq;
@@ -251,10 +184,7 @@ impl<E> EventQueue<E> {
 
     /// Peek at the timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<Cycle> {
-        match &self.store {
-            Store::Heap(h) => h.peek().map(|Reverse(e)| e.time),
-            Store::Wheel(w) => w.peek_time(),
-        }
+        self.wheel.peek_time()
     }
 }
 
@@ -262,48 +192,38 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
-    fn kinds() -> [EventQueueKind; 2] {
-        [EventQueueKind::Heap, EventQueueKind::Wheel]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.push_at(5, "b");
-            q.push_at(3, "a");
-            q.push_at(9, "c");
-            assert_eq!(q.pop(), Some((3, "a")));
-            assert_eq!(q.pop(), Some((5, "b")));
-            assert_eq!(q.now(), 5);
-            assert_eq!(q.pop(), Some((9, "c")));
-            assert_eq!(q.pop(), None);
-            assert_eq!(q.processed(), 3);
-        }
+        let mut q = EventQueue::new();
+        q.push_at(5, "b");
+        q.push_at(3, "a");
+        q.push_at(9, "c");
+        assert_eq!(q.pop(), Some((3, "a")));
+        assert_eq!(q.pop(), Some((5, "b")));
+        assert_eq!(q.now(), 5);
+        assert_eq!(q.pop(), Some((9, "c")));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.processed(), 3);
     }
 
     #[test]
     fn ties_broken_by_insertion_order() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            for i in 0..100 {
-                q.push_at(7, i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((7, i)));
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push_at(7, i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((7, i)));
         }
     }
 
     #[test]
     fn push_after_uses_current_time() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.push_at(10, 0);
-            q.pop();
-            q.push_after(5, 1);
-            assert_eq!(q.pop(), Some((15, 1)));
-        }
+        let mut q = EventQueue::new();
+        q.push_at(10, 0);
+        q.pop();
+        q.push_after(5, 1);
+        assert_eq!(q.pop(), Some((15, 1)));
     }
 
     #[test]
@@ -328,47 +248,31 @@ mod tests {
 
     #[test]
     fn max_time_is_schedulable() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.push_at(u64::MAX, 0);
-            q.push_at(0, 1);
-            assert_eq!(q.pop(), Some((0, 1)));
-            assert_eq!(q.pop(), Some((u64::MAX, 0)));
-        }
+        let mut q = EventQueue::new();
+        q.push_at(u64::MAX, 0);
+        q.push_at(0, 1);
+        assert_eq!(q.pop(), Some((0, 1)));
+        assert_eq!(q.pop(), Some((u64::MAX, 0)));
     }
 
     #[test]
     fn len_and_empty() {
-        for kind in kinds() {
-            let mut q: EventQueue<u8> = EventQueue::with_kind(kind);
-            assert!(q.is_empty());
-            q.push_at(1, 1);
-            q.push_at(2, 2);
-            assert_eq!(q.len(), 2);
-            q.pop();
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-        }
+        let mut q: EventQueue<u8> = EventQueue::new();
+        assert!(q.is_empty());
+        q.push_at(1, 1);
+        q.push_at(2, 2);
+        assert_eq!(q.len(), 2);
+        q.pop();
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
     }
 
     #[test]
     fn peek_time() {
-        for kind in kinds() {
-            let mut q: EventQueue<u8> = EventQueue::with_kind(kind);
-            assert_eq!(q.peek_time(), None);
-            q.push_at(4, 0);
-            q.push_at(2, 1);
-            assert_eq!(q.peek_time(), Some(2));
-        }
-    }
-
-    #[test]
-    fn default_kind_is_wheel_unless_overridden() {
-        // CI sets LR_EVENTQ explicitly for the A/B gate; in a plain
-        // test environment the wheel must be the default.
-        if std::env::var("LR_EVENTQ").is_err() {
-            let q: EventQueue<u8> = EventQueue::new();
-            assert_eq!(q.kind(), EventQueueKind::Wheel);
-        }
+        let mut q: EventQueue<u8> = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.push_at(4, 0);
+        q.push_at(2, 1);
+        assert_eq!(q.peek_time(), Some(2));
     }
 }

@@ -19,10 +19,12 @@
 //!
 //! A key can land at the current cycle *below* the last popped key (a
 //! lower source tile pushing for the same cycle after a higher tile's
-//! event ran); both backing stores order it correctly, and
-//! `EventQueue`'s ordering audit restarts there.
+//! event ran); the wheel files it in key order, and in strict builds
+//! `EventQueue`'s reference check confirms every pop against the
+//! pending minimum.
 //!
-//! The type keeps its partitioned-era name and constructor signature
+//! The type keeps its partitioned-era name, plus the
+//! [`ShardedQueue::with_kind`] constructor and [`ShardedQueue::pop_global`],
 //! because the host-performance benchmark (`perfbench/`) calls them;
 //! exactly one partition is supported.
 
@@ -42,15 +44,20 @@ pub struct ShardedQueue<E> {
 }
 
 impl<E> ShardedQueue<E> {
-    /// A queue over `tiles` tiles backed by `kind`. `parts` must be 1;
-    /// `lookahead` is ignored (both are kept for the benchmark's calls).
-    pub fn with_kind(kind: EventQueueKind, tiles: usize, parts: usize, _lookahead: Cycle) -> Self {
-        assert_eq!(parts, 1, "the event store has exactly one partition");
+    /// An empty queue over `tiles` tiles.
+    pub fn new(tiles: usize) -> Self {
         assert!(tiles >= 1, "event store over zero tiles");
         ShardedQueue {
-            queue: EventQueue::with_kind(kind),
+            queue: EventQueue::new(),
             tile_ctr: vec![0; tiles],
         }
+    }
+
+    /// [`ShardedQueue::new`]. `kind` has one value, `parts` must be 1
+    /// and `lookahead` is ignored: kept for the benchmark's calls.
+    pub fn with_kind(_kind: EventQueueKind, tiles: usize, parts: usize, _lookahead: Cycle) -> Self {
+        assert_eq!(parts, 1, "the event store has exactly one partition");
+        Self::new(tiles)
     }
 
     /// Current simulated time: the timestamp of the last popped event.
@@ -121,13 +128,11 @@ mod tests {
     fn canonical_key_orders_same_time_pushes_by_src_tile_not_push_order() {
         // Tile 2 pushes first, tile 1 second, both for tile 0 at t=5:
         // tile 1's event must pop first, regardless of push order.
-        for kind in [EventQueueKind::Heap, EventQueueKind::Wheel] {
-            let mut q: ShardedQueue<&str> = ShardedQueue::with_kind(kind, 4, 1, 1);
-            q.push(2, 0, 0, 5, "from-tile-2");
-            q.push(1, 0, 0, 5, "from-tile-1");
-            assert_eq!(q.pop_global(), Some((5, 0, "from-tile-1")));
-            assert_eq!(q.pop_global(), Some((5, 0, "from-tile-2")));
-        }
+        let mut q: ShardedQueue<&str> = ShardedQueue::new(4);
+        q.push(2, 0, 0, 5, "from-tile-2");
+        q.push(1, 0, 0, 5, "from-tile-1");
+        assert_eq!(q.pop_global(), Some((5, 0, "from-tile-1")));
+        assert_eq!(q.pop_global(), Some((5, 0, "from-tile-2")));
     }
 
     #[test]

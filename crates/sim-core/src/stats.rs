@@ -252,8 +252,8 @@ impl MachineStats {
         // NUMA counters are emitted only when nonzero so that
         // single-socket runs (where they are identically 0) serialize
         // byte-for-byte as they did before the multi-socket topology
-        // existed — the corpus goldens and A/B byte-diff gates depend
-        // on that.
+        // existed — the corpus goldens and the byte-identical
+        // `BENCH_*.json` outputs depend on that.
         if self.cross_socket_msgs != 0 || self.socket_flit_hops != 0 {
             let _ = write!(
                 s,

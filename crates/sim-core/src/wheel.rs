@@ -124,8 +124,9 @@ impl Level {
     }
 }
 
-/// The wheel itself. Time bookkeeping (`now`, `seq`, `processed`) and
-/// the push-in-the-past / monotonicity checks live in the wrapping
+/// The wheel itself. Time bookkeeping (`now`, `seq`, `processed`), the
+/// push-in-the-past / monotonicity checks and the strict builds'
+/// reference check of every pop live in the wrapping
 /// [`crate::EventQueue`]; the wheel only stores entries and maintains
 /// `pos <= min pending time`.
 pub(crate) struct Wheel<E> {

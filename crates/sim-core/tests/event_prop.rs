@@ -1,17 +1,13 @@
 //! Randomized property tests for the discrete-event queue: pops must be a
-//! stable sort of pushes by timestamp, for *both* backing stores (the
-//! `BinaryHeap` baseline and the hierarchical timing wheel), checked
-//! against one shared sorted-oracle model. Driven by the in-tree
-//! [`SplitMix64`] generator, so every case is reproducible from its loop
-//! index.
+//! stable sort of pushes by timestamp, checked against a sorted-oracle
+//! model. Driven by the in-tree [`SplitMix64`] generator, so every case
+//! is reproducible from its loop index.
 
-use lr_sim_core::{EventQueue, EventQueueKind, SplitMix64};
+use lr_sim_core::{EventQueue, SplitMix64};
 
-const KINDS: [EventQueueKind; 2] = [EventQueueKind::Heap, EventQueueKind::Wheel];
-
-/// The oracle: replay an interleaved push/pop schedule through `kind`
-/// and demand the popped stream equal a stable sort (by time, ties in
-/// push order) of everything pushed.
+/// The oracle: replay an interleaved push/pop schedule through the
+/// queue and demand the popped stream equal a stable sort (by time,
+/// ties in push order) of everything pushed.
 ///
 /// A schedule is a list of steps; `Push(delay)` schedules the next id at
 /// `now + delay`, `Pop` pops one event (skipped while empty). Trailing
@@ -22,8 +18,8 @@ enum Step {
     Pop,
 }
 
-fn run_schedule(kind: EventQueueKind, steps: &[Step], label: &str) {
-    let mut q = EventQueue::with_kind(kind);
+fn run_schedule(steps: &[Step], label: &str) {
+    let mut q = EventQueue::new();
     let mut pushed: Vec<(u64, usize)> = Vec::new();
     let mut popped: Vec<(u64, usize)> = Vec::new();
     let mut next_id = 0usize;
@@ -37,7 +33,7 @@ fn run_schedule(kind: EventQueueKind, steps: &[Step], label: &str) {
             }
             Step::Pop => {
                 if let Some((t, id)) = q.pop() {
-                    assert!(t >= last_time, "{label} [{kind:?}]: time went backwards");
+                    assert!(t >= last_time, "{label}: time went backwards");
                     last_time = t;
                     popped.push((t, id));
                 }
@@ -45,16 +41,16 @@ fn run_schedule(kind: EventQueueKind, steps: &[Step], label: &str) {
         }
     }
     while let Some((t, id)) = q.pop() {
-        assert!(t >= last_time, "{label} [{kind:?}]: time went backwards");
+        assert!(t >= last_time, "{label}: time went backwards");
         last_time = t;
         popped.push((t, id));
     }
-    assert_eq!(q.processed() as usize, pushed.len(), "{label} [{kind:?}]");
-    assert!(q.is_empty(), "{label} [{kind:?}]");
+    assert_eq!(q.processed() as usize, pushed.len(), "{label}");
+    assert!(q.is_empty(), "{label}");
     // Oracle: stable sort by time (ties keep push order).
     let mut expected = pushed;
     expected.sort_by_key(|&(t, _)| t);
-    assert_eq!(popped, expected, "{label} [{kind:?}]");
+    assert_eq!(popped, expected, "{label}");
 }
 
 fn random_schedule(seed: u64, max_delay: u64, push_bias: f64) -> Vec<Step> {
@@ -75,9 +71,7 @@ fn random_schedule(seed: u64, max_delay: u64, push_bias: f64) -> Vec<Step> {
 fn pops_are_a_stable_sort() {
     for case in 0..256u64 {
         let sched = random_schedule(0xe_7e47_0000 + case, 50, 1.0);
-        for kind in KINDS {
-            run_schedule(kind, &sched, &format!("case {case}"));
-        }
+        run_schedule(&sched, &format!("case {case}"));
     }
 }
 
@@ -85,9 +79,7 @@ fn pops_are_a_stable_sort() {
 fn interleaved_push_pop_never_goes_backwards() {
     for case in 0..256u64 {
         let sched = random_schedule(0xe_7e47_1000 + case, 100, 0.5);
-        for kind in KINDS {
-            run_schedule(kind, &sched, &format!("case {case}"));
-        }
+        run_schedule(&sched, &format!("case {case}"));
     }
 }
 
@@ -117,9 +109,7 @@ fn far_future_delays_stay_sorted() {
                 }
             })
             .collect();
-        for kind in KINDS {
-            run_schedule(kind, &sched, &format!("far-future case {case}"));
-        }
+        run_schedule(&sched, &format!("far-future case {case}"));
     }
 }
 
@@ -141,9 +131,7 @@ fn dense_same_cycle_bursts_keep_fifo_order() {
                 sched.push(Step::Pop);
             }
         }
-        for kind in KINDS {
-            run_schedule(kind, &sched, &format!("burst case {case}"));
-        }
+        run_schedule(&sched, &format!("burst case {case}"));
     }
 }
 
@@ -169,39 +157,17 @@ fn window_boundary_patterns_stay_sorted() {
             sched.push(Step::Pop);
         }
     }
-    for kind in KINDS {
-        run_schedule(kind, &sched, "window boundaries");
-    }
+    run_schedule(&sched, "window boundaries");
 }
 
-/// The two stores are interchangeable: one random schedule, both
-/// queues, element-for-element identical pop streams.
+/// Long horizons under push-heavy load: delays up to 30 000 cycles
+/// (beyond `MAX_LEASE_TIME`, so entries sit in level-1 and level-2
+/// windows and cascade down) with 70% pushes, so the pending set grows
+/// through most of each schedule.
 #[test]
-fn heap_and_wheel_agree_event_for_event() {
+fn long_horizon_schedules_stay_sorted() {
     for case in 0..128u64 {
         let sched = random_schedule(0xe_7e47_4000 + case, 30_000, 0.7);
-        let drive = |kind: EventQueueKind| {
-            let mut q = EventQueue::with_kind(kind);
-            let mut out = Vec::new();
-            let mut id = 0usize;
-            for &s in &sched {
-                match s {
-                    Step::Push(d) => {
-                        q.push_after(d, id);
-                        id += 1;
-                    }
-                    Step::Pop => out.extend(q.pop()),
-                }
-            }
-            while let Some(e) = q.pop() {
-                out.push(e);
-            }
-            out
-        };
-        assert_eq!(
-            drive(EventQueueKind::Heap),
-            drive(EventQueueKind::Wheel),
-            "case {case}"
-        );
+        run_schedule(&sched, &format!("long-horizon case {case}"));
     }
 }

@@ -1,6 +1,6 @@
 //! Randomized property tests for the engine's keyed event store:
 //! driving the same interleaved push/pop schedule through a
-//! [`ShardedQueue`] (either backing store) and a single [`EventQueue`]
+//! [`ShardedQueue`] and a single [`EventQueue`]
 //! fed the same canonical keys must produce element-for-element
 //! identical pop streams, equal to a flat pending-set oracle ordered by
 //! `(time, key)`, where the key is the canonical
@@ -10,9 +10,8 @@
 //! lands below the last popped key. Schedules use 8 tiles, except one
 //! high-fan-in schedule at kilo-core scale.
 
-use lr_sim_core::{EventQueue, EventQueueKind, ShardedQueue, SplitMix64};
+use lr_sim_core::{EventQueue, ShardedQueue, SplitMix64};
 
-const KINDS: [EventQueueKind; 2] = [EventQueueKind::Heap, EventQueueKind::Wheel];
 const TILES: usize = 8;
 
 /// One schedule step: `Push(src_tile, dest_tile, delay)` schedules the
@@ -61,9 +60,9 @@ fn random_schedule(seed: u64, max_delay: u64, push_bias: f64) -> Vec<Step> {
         .collect()
 }
 
-/// Pop stream of the keyed store backed by `kind`.
-fn drive_sharded(kind: EventQueueKind, steps: &[Step]) -> Vec<(u64, usize)> {
-    let mut q: ShardedQueue<usize> = ShardedQueue::with_kind(kind, tiles_of(steps), 1, 0);
+/// Pop stream of the keyed store.
+fn drive_sharded(steps: &[Step]) -> Vec<(u64, usize)> {
+    let mut q: ShardedQueue<usize> = ShardedQueue::new(tiles_of(steps));
     let mut out = Vec::new();
     let mut id = 0usize;
     for &s in steps {
@@ -85,8 +84,8 @@ fn drive_sharded(kind: EventQueueKind, steps: &[Step]) -> Vec<(u64, usize)> {
 
 /// Pop stream of the single-queue reference for the same schedule,
 /// stamped with the same canonical keys the keyed store uses.
-fn drive_single(kind: EventQueueKind, steps: &[Step]) -> Vec<(u64, usize)> {
-    let mut q: EventQueue<usize> = EventQueue::with_kind(kind);
+fn drive_single(steps: &[Step]) -> Vec<(u64, usize)> {
+    let mut q: EventQueue<usize> = EventQueue::new();
     let mut ctrs = vec![0u64; tiles_of(steps)];
     let mut now = 0u64;
     let mut out = Vec::new();
@@ -112,10 +111,10 @@ fn drive_single(kind: EventQueueKind, steps: &[Step]) -> Vec<(u64, usize)> {
     out
 }
 
-/// Full cross-check for one schedule: the keyed store under each kind
-/// equals the single-queue run equals the flat pending-set oracle.
+/// Full cross-check for one schedule: the keyed store equals the
+/// single-queue run equals the flat pending-set oracle.
 fn check_schedule(steps: &[Step], label: &str) {
-    let reference = drive_single(EventQueueKind::Wheel, steps);
+    let reference = drive_single(steps);
     // Oracle: a naive O(n) discrete-event simulation over a flat
     // pending set — pop removes the `(time, key)` minimum. (A
     // retrospective full sort would be wrong: a push *after* a pop can
@@ -153,9 +152,7 @@ fn check_schedule(steps: &[Step], label: &str) {
         reference, expected,
         "{label}: single-queue vs sorted oracle"
     );
-    for kind in KINDS {
-        assert_eq!(drive_sharded(kind, steps), reference, "{label} [{kind:?}]");
-    }
+    assert_eq!(drive_sharded(steps), reference, "{label}");
 }
 
 #[test]

@@ -320,24 +320,14 @@ fn probe_delay_bounded_by_max_lease_time() {
 /// allocator home tile — both *simulated-timing* changes, applied
 /// identically by every executor.)
 ///
-/// Pinned against *both* event-queue stores: the timing wheel (the
-/// production default) and the `BinaryHeap` baseline must each hit the
-/// mpsc-era goldens, proving the wheel preserves the exact
-/// `(time, seq)` event order the numbers were captured under.
+/// The timing wheel and the `BinaryHeap` store it replaced both hit
+/// these numbers; the wheel must keep hitting them, i.e. preserve the
+/// exact `(time, seq)` event order they were captured under.
 #[test]
 fn scheduler_change_preserves_golden_stats() {
-    for kind in [
-        lease_release::machine::EventQueueKind::Wheel,
-        lease_release::machine::EventQueueKind::Heap,
-    ] {
-        scheduler_golden_stats_for(kind);
-    }
-}
-
-fn scheduler_golden_stats_for(kind: lease_release::machine::EventQueueKind) {
     let run = || {
         let threads = 8;
-        let mut m = Machine::new(cfg(threads)).with_event_queue(kind);
+        let mut m = Machine::new(cfg(threads));
         let s = m.setup(|mem| TreiberStack::init(mem, StackVariant::Leased));
         let progs: Vec<ThreadFn> = (0..threads)
             .map(|_| {
