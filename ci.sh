@@ -54,57 +54,47 @@ step "strict invariant checking"
 # return the minimum of a key-only heap of everything pending.
 cargo test -q --offline --workspace --features lease-release/strict-invariants
 
-step "driver smoke: every scenario, 2 parallel jobs"
-LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --smoke --jobs 2 > /dev/null
+step "smoke sweep: every scenario recorded, 2 parallel jobs; every trace replayed"
+# One sweep of every scenario at smoke size. Each scenario's in-cell
+# asserts gate it here; recording only adds trace files, so rows and
+# asserts are those of an unrecorded sweep (the tier-1 and strict steps
+# run that path in registry.rs). Among the asserts:
+# - lock showdown (delegation locks MCS/CLH/FC/CCSynch + lease hybrids
+#   vs the paper's TTS/leased locks over one delegated stack): steady
+#   state sends zero simulated allocator messages (node pools are
+#   pre-allocated), every delegated op is combined exactly once, and
+#   the stack's push/pop/empty ledger balances;
+# - NUMA serving (Zipfian KV serving over plain MSI, lease/release and
+#   node replication at 1/2/4 sockets): every key lands exactly on the
+#   pre-generated op ledger under all three protocols, app_ops equals
+#   threads × ops, single-socket cells send zero cross-socket
+#   messages (the sockets=1 degeneracy), and multi-socket cells with
+#   workers on more than one socket actually cross the link.
+# Then every recorded simulation is re-driven engine-only: the replayed
+# MachineStats must match the live run byte-for-byte (exit non-zero on
+# any divergence).
+TR_DIR=$(mktemp -d)
+LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
+    --smoke --jobs 2 --record "$TR_DIR" > /dev/null
+# No pipe here: a pipeline would report tail's status, not the replay's.
+cargo run -q --release --offline -p lr-replay --bin lr-replay -- \
+    "$TR_DIR" > "$TR_DIR/replay.txt"
+tail -n 1 "$TR_DIR/replay.txt"
+rm -rf "$TR_DIR"
 
-step "engine throughput smoke (gates on completion, not numbers)"
-LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario engine_throughput --smoke > /dev/null
-
-step "lock showdown smoke (asserts zero allocator msgs + combiner ledger)"
-# Delegation locks (MCS/CLH/FC/CCSynch + lease hybrids) vs the paper's
-# TTS/leased locks over the same delegated stack. The scenario asserts,
-# in-cell, that steady state sends zero simulated allocator messages
-# (node pools are pre-allocated), that every delegated op is combined
-# exactly once, and that the stack's push/pop/empty ledger balances.
-# As a ScenarioKind::Sim entry it also rides the record/replay gate
-# below.
-LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario lock_showdown --smoke > /dev/null
-
-step "NUMA serving smoke (asserts op ledger + cross-socket traffic shape)"
-# Zipfian KV serving over the multi-socket topology: plain MSI vs
-# lease/release vs node replication at 1/2/4 sockets. The scenario
-# asserts, in-cell, that every key lands exactly on the pre-generated
-# op ledger under all three protocols, that app_ops matches the issued
-# count, that single-socket cells send zero cross-socket messages (the
-# sockets=1 degeneracy), and that multi-socket cells with workers on
-# more than one socket actually cross the link. As a ScenarioKind::Sim
-# entry it also rides the record/replay gate below.
-LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario numa_serving --smoke > /dev/null
-# The kilo-core cell: 1024 simulated cores across 4 sockets — the scale
-# the NUMA tier exists for. The same in-cell ledger and cross-socket
-# asserts gate it. It runs recorded, and its trace is replayed: the only
-# check of trace capture with 1024 workers.
+step "NUMA serving: the kilo-core cell, recorded and replayed"
+# 1024 simulated cores across 4 sockets — the scale the NUMA tier exists
+# for. The NUMA in-cell ledger and cross-socket asserts above gate it
+# too. It runs recorded, and its trace is replayed: the only check of
+# trace capture with 1024 workers.
 KC_DIR=$(mktemp -d)
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
     --scenario numa_serving --threads 1024 --ops 8 --series .s4 \
     --record "$KC_DIR" > /dev/null
-cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
-    --replay "$KC_DIR" > "$KC_DIR/replay.txt"
+cargo run -q --release --offline -p lr-replay --bin lr-replay -- \
+    "$KC_DIR" > "$KC_DIR/replay.txt"
 tail -n 1 "$KC_DIR/replay.txt"
 rm -rf "$KC_DIR"
-
-step "record/replay: every sim scenario must replay byte-identical"
-# Record every deterministic simulation of a smoke sweep as a trace,
-# then re-drive each trace engine-only: the replayed MachineStats must
-# match the live run byte-for-byte (exit non-zero on any divergence).
-TR_DIR=$(mktemp -d)
-LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
-    --smoke --jobs 2 --kind sim --record "$TR_DIR" > /dev/null
-# No pipe here: a pipeline would report tail's status, not the replay's.
-cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
-    --replay "$TR_DIR" > "$TR_DIR/replay.txt"
-tail -n 1 "$TR_DIR/replay.txt"
-rm -rf "$TR_DIR"
 
 step "fuzz farm: seeded differential campaign, twice, diffed"
 # Replay-driven differential fuzzing over a fixed seed range: each seed
@@ -131,8 +121,7 @@ rm -rf "$FZ_DIR"
 step "fuzz farm: checked-in regression corpus"
 # Every committed trace must replay byte-identical.
 # Regenerate with: lr-fuzz --regen-corpus corpus --seeds 4
-cargo run -q --release --offline -p lr-fuzz --bin lr-fuzz -- \
-    --check-corpus corpus
+cargo run -q --release --offline -p lr-replay --bin lr-replay -- corpus
 
 step
 printf '%s' "$TIMES"

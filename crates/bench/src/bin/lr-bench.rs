@@ -29,11 +29,10 @@ OPTIONS:
                          host cores; output is identical for any N)
     --smoke              Tiny ops, 2-thread cells: every selected
                          scenario in seconds
-    --kind sim|host|wall Keep one measurement kind: sim = deterministic
-                         simulations, host/wall = wall-clock benches
+    --kind sim|host      Keep one measurement kind: sim = deterministic
+                         simulations, host = the wall-clock native bench
     --record DIR         Record every simulation as a trace file in DIR
-    --replay DIR         Replay every *.lrt trace in DIR engine-only and
-                         require byte-identical MachineStats
+                         (verify them with `lr-replay DIR`)
     -h, --help           This help
 
 ENVIRONMENT:
@@ -41,7 +40,7 @@ ENVIRONMENT:
     LR_NO_JSON=1    disable the JSON export
 ";
 
-/// Per-thread ops for `--smoke`: small enough that all 19 scenarios
+/// Per-thread ops for `--smoke`: small enough that all 17 scenarios
 /// finish in seconds, large enough that every metric is exercised.
 const SMOKE_OPS: u64 = 8;
 
@@ -74,52 +73,12 @@ fn list_scenarios() {
             match s.kind {
                 ScenarioKind::Sim => "sim",
                 ScenarioKind::Host => "host",
-                ScenarioKind::HostLockstep => "wall",
             },
             s.series.len(),
             s.default_ops,
             s.series.join(",")
         );
     }
-}
-
-/// `--replay DIR`: verify every `*.lrt` trace in `DIR` (sorted by file
-/// name) by engine-only replay, requiring byte-identical `MachineStats`.
-fn replay_directory(dir: &std::path::Path) -> ! {
-    let paths = lr_replay::trace_files(dir)
-        .unwrap_or_else(|e| fail(&format!("cannot read --replay dir {}: {e}", dir.display())));
-    if paths.is_empty() {
-        fail(&format!("no .lrt traces in {}", dir.display()));
-    }
-    let mut failures = 0usize;
-    let mut total_ops = 0u64;
-    for path in &paths {
-        match lr_replay::verify_file(path) {
-            Ok(v) => {
-                total_ops += v.ops;
-                println!(
-                    "PASS {}: {} ops over {} cores replayed byte-identical ({} cycles)",
-                    path.display(),
-                    v.ops,
-                    v.cores,
-                    v.stats.total_cycles
-                );
-            }
-            Err(e) => {
-                eprintln!("FAIL {}: {e}", path.display());
-                failures += 1;
-            }
-        }
-    }
-    if failures > 0 {
-        eprintln!("{failures} of {} trace(s) diverged", paths.len());
-        std::process::exit(1);
-    }
-    println!(
-        "{} trace(s), {total_ops} recorded ops: all replays byte-identical",
-        paths.len()
-    );
-    std::process::exit(0);
 }
 
 fn main() {
@@ -132,7 +91,6 @@ fn main() {
     let mut smoke = false;
     let mut kind_filter: Option<ScenarioKind> = None;
     let mut record_dir: Option<String> = None;
-    let mut replay_dir: Option<String> = None;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -171,24 +129,17 @@ fn main() {
             }
             "--smoke" => smoke = true,
             "--record" => record_dir = Some(value("--record")),
-            "--replay" => replay_dir = Some(value("--replay")),
             "--kind" => {
                 kind_filter = Some(match value("--kind").as_str() {
                     "sim" => ScenarioKind::Sim,
                     "host" => ScenarioKind::Host,
-                    "wall" => ScenarioKind::HostLockstep,
-                    other => fail(&format!(
-                        "bad --kind value {other:?} (use sim, host, or wall)"
-                    )),
+                    other => fail(&format!("bad --kind value {other:?} (use sim or host)")),
                 })
             }
             other => fail(&format!("unknown argument {other:?}")),
         }
     }
 
-    if let Some(dir) = &replay_dir {
-        replay_directory(std::path::Path::new(dir));
-    }
     // The record directory flows to workers through the plan — never
     // through mutable process-global env state.
     let record_dir: Option<std::path::PathBuf> = record_dir.map(std::path::PathBuf::from);

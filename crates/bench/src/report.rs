@@ -1,6 +1,5 @@
 //! Instance-based report sink: per-run header/rows/CSV/JSON state,
-//! owned by whoever drives the sweep (the driver binary, a wrapper
-//! bench target, or a test).
+//! owned by whoever runs the sweep (the `lr-bench` binary or a test).
 //!
 //! Replaces the old process-global `JSON_SINK` static. Each scenario's
 //! output is a [`Report`]: the banner + Table 1 header, one aligned
@@ -48,14 +47,14 @@ impl JsonPolicy {
     /// * `LR_NO_JSON=1` disables the export entirely;
     /// * `LR_JSON_DIR` names the output directory (created if needed);
     /// * otherwise the workspace root (via `CARGO_MANIFEST_DIR`, which
-    ///   cargo sets for `cargo bench`/`cargo run` targets), else cwd.
+    ///   cargo sets for `cargo run` targets), else cwd.
     pub fn from_env() -> Self {
         if std::env::var("LR_NO_JSON").is_ok_and(|v| v == "1") {
             return JsonPolicy::disabled();
         }
         let dir = std::env::var("LR_JSON_DIR").unwrap_or_else(|_| {
             match std::env::var("CARGO_MANIFEST_DIR") {
-                // Bench/bin targets run with cwd = the package dir;
+                // Bin targets run with cwd = the package dir;
                 // default to the workspace root instead of scattering
                 // files under crates/bench/.
                 Ok(m) => format!("{m}/../.."),

@@ -27,13 +27,6 @@ pub enum ScenarioKind {
     /// is capped at the host's core count (beyond it the native code
     /// only oversubscribes).
     Host,
-    /// Host wall-clock measurement *of the lockstep simulator itself*
-    /// (the engine-throughput bench): serial like [`Host`], but the
-    /// thread axis is **not** capped — lockstep workers are real OS
-    /// threads of which exactly one is runnable at any moment, so high
-    /// thread counts never oversubscribe the host; they are precisely
-    /// the interesting regime for handoff overhead.
-    HostLockstep,
 }
 
 /// Where a cell's simulations dump their traces: a directory plus the
@@ -101,7 +94,7 @@ pub type AnnotateFn = fn(prior: &[BenchRow], current: &BenchRow) -> Vec<String>;
 
 /// One paper figure/table as a declarative registry entry.
 pub struct Scenario {
-    /// Registry key and `cargo bench` target name, e.g. `fig2_stack`.
+    /// Registry key, e.g. `fig2_stack`.
     pub name: &'static str,
     /// Header title; its slug names the `BENCH_<slug>.json` file.
     pub title: &'static str,
@@ -122,13 +115,6 @@ pub struct Scenario {
     pub annotate: Option<AnnotateFn>,
     /// Optional trailer printed after the scenario's last row.
     pub footer: Option<&'static str>,
-}
-
-impl Scenario {
-    /// The series index for `name`, if this scenario has it.
-    pub fn series_index(&self, name: &str) -> Option<usize> {
-        self.series.iter().position(|s| *s == name)
-    }
 }
 
 // Scenarios live in a `static` registry and are handed to sweep worker

@@ -11,7 +11,6 @@ use crate::scenario::Scenario;
 
 mod common;
 
-pub mod engine_throughput;
 pub mod fig2_stack;
 pub mod fig3_counter;
 pub mod fig3_pq;
@@ -28,14 +27,12 @@ pub mod tab_lease_sensitivity;
 pub mod tab_low_contention;
 pub mod tab_mesi;
 pub mod tab_msg_constancy;
-pub mod trace_replay;
 pub mod validation_native;
 
-/// All 19 scenarios (15 paper experiments, the delegation-lock
-/// showdown, the NUMA serving comparison, plus the engine-throughput
-/// and trace-replay infrastructure benches), in canonical (figure,
-/// table, validation) order; host-measured scenarios last.
-static REGISTRY: [&Scenario; 19] = [
+/// All 17 scenarios (15 paper experiments, the delegation-lock
+/// showdown and the NUMA serving comparison), in canonical (figure,
+/// table, validation) order; the host-measured native validation last.
+static REGISTRY: [&Scenario; 17] = [
     &fig2_stack::SCENARIO,
     &fig3_counter::SCENARIO,
     &fig3_queue::SCENARIO,
@@ -53,8 +50,6 @@ static REGISTRY: [&Scenario; 19] = [
     &lock_showdown::SCENARIO,
     &numa_serving::SCENARIO,
     &validation_native::SCENARIO,
-    &engine_throughput::SCENARIO,
-    &trace_replay::SCENARIO,
 ];
 
 /// Every registered scenario, in canonical order.

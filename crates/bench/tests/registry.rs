@@ -4,7 +4,7 @@
 use lr_bench::{build_plan, find, registry, run, JsonPolicy, PlanOpts, Scenario, ScenarioKind};
 
 /// Tiny per-thread op count: enough to exercise every code path, small
-/// enough to run all 19 scenarios in seconds.
+/// enough to run all 17 scenarios in seconds.
 const TINY_OPS: u64 = 6;
 
 fn run_to_string(scenarios: Vec<&'static Scenario>, jobs: usize, ops: u64) -> String {

@@ -6,8 +6,9 @@
 //! lr-fuzz --seeds 64                    # campaign over seeds 0..64
 //! lr-fuzz --self-test --repro-dir /tmp  # end-to-end detection drill
 //! lr-fuzz --regen-corpus corpus --seeds 4
-//! lr-fuzz --check-corpus corpus         # what CI runs on every change
 //! ```
+//!
+//! CI verifies the checked-in corpus with `lr-replay corpus`.
 
 use lr_fuzz::{
     check_workload, record_workload, repro_name, self_test, shrink, Variant, Workload,
@@ -21,7 +22,6 @@ USAGE:
     lr-fuzz [--seeds N] [--base-seed S] [--repro-dir DIR]
     lr-fuzz --self-test [--repro-dir DIR]
     lr-fuzz --regen-corpus DIR [--seeds N]
-    lr-fuzz --check-corpus DIR
 
 MODES (default: campaign):
     campaign             Check every seed in [S, S+N): record live under
@@ -33,9 +33,8 @@ MODES (default: campaign):
     --self-test          Inject a reply mutation into a real recording
                          and require catch + shrink-to-1-op + persist.
     --regen-corpus DIR   (Re)write the healthy corpus entries for the
-                         first N seeds under every variant.
-    --check-corpus DIR   Replay every *.lrt in DIR once; exit non-zero
-                         on any divergence.
+                         first N seeds under every variant. Verify the
+                         result with `lr-replay DIR`.
 
 OPTIONS:
     --seeds N            Campaign/corpus seed count (default 64)
@@ -124,7 +123,6 @@ fn main() {
     let mut repro_dir = std::path::PathBuf::from("corpus");
     let mut do_self_test = false;
     let mut regen: Option<std::path::PathBuf> = None;
-    let mut check: Option<std::path::PathBuf> = None;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -151,7 +149,6 @@ fn main() {
             "--repro-dir" => repro_dir = value("--repro-dir").into(),
             "--self-test" => do_self_test = true,
             "--regen-corpus" => regen = Some(value("--regen-corpus").into()),
-            "--check-corpus" => check = Some(value("--check-corpus").into()),
             other => fail(&format!("unknown argument {other:?}")),
         }
     }
@@ -195,23 +192,6 @@ fn main() {
                 return;
             }
             Err(e) => fail(&e),
-        }
-    }
-    if let Some(dir) = check {
-        match lr_fuzz::check_corpus(&dir) {
-            Ok((files, ops)) => {
-                println!(
-                    "lr-fuzz: corpus clean — {files} trace(s), {ops} ops replayed byte-identical"
-                );
-                return;
-            }
-            Err(failures) => {
-                for f in &failures {
-                    eprintln!("FAIL {f}");
-                }
-                eprintln!("lr-fuzz: {} corpus failure(s)", failures.len());
-                std::process::exit(1);
-            }
         }
     }
     campaign(base_seed, seeds, &repro_dir);

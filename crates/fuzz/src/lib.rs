@@ -22,10 +22,7 @@ pub mod exec;
 pub mod gen;
 pub mod shrink;
 
-pub use corpus::{
-    check as check_corpus, dlock_entry_name, entry_name, persist_repro, regen as regen_corpus,
-    repro_name,
-};
+pub use corpus::{dlock_entry_name, entry_name, persist_repro, regen as regen_corpus, repro_name};
 pub use exec::{
     check_seed, check_variant, check_workload, record_workload, Finding, RunOutput, SeedReport,
     Variant, VARIANTS,

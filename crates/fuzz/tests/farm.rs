@@ -3,9 +3,9 @@
 //! corpus round-trips.
 
 use lr_fuzz::{
-    check_corpus, check_seed, record_workload, regen_corpus, self_test, tamper_first_reply,
-    Variant, Workload,
+    check_seed, record_workload, regen_corpus, self_test, tamper_first_reply, Variant, Workload,
 };
+use lr_replay::verify_dir as check_corpus;
 
 fn scratch(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("lr_fuzz_{tag}_{}", std::process::id()));

@@ -36,11 +36,6 @@ impl SimBarrier {
         }
     }
 
-    /// Number of participating threads.
-    pub fn parties(&self) -> u64 {
-        self.n
-    }
-
     /// Block (in simulated time) until all `n` threads have arrived.
     pub fn wait(&mut self, ctx: &mut ThreadCtx) {
         ctx.note_barrier();

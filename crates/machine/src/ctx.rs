@@ -73,11 +73,6 @@ impl ThreadCtx {
         self.ops += 1;
     }
 
-    /// Report `n` completed application-level operations.
-    pub fn count_ops(&mut self, n: u64) {
-        self.ops += n;
-    }
-
     /// Local computation for `cycles` cycles (no memory traffic).
     pub fn work(&mut self, cycles: Cycle) {
         self.time += cycles;
@@ -148,15 +143,6 @@ impl ThreadCtx {
     /// Fetch-and-add, returning the old value.
     pub fn faa(&mut self, addr: Addr, delta: u64) -> u64 {
         self.issue(Op::Faa { addr, delta }).value
-    }
-
-    /// Fetch-and-add with wrapping arithmetic on a signed delta.
-    pub fn faa_signed(&mut self, addr: Addr, delta: i64) -> u64 {
-        self.issue(Op::Faa {
-            addr,
-            delta: delta as u64,
-        })
-        .value
     }
 
     /// Atomic exchange, returning the old value.

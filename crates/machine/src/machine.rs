@@ -39,14 +39,16 @@ const ALLOC_HOME: usize = 0;
 /// A workload thread: a closure over the simulated-instruction API.
 pub type ThreadFn = Box<dyn FnOnce(&mut ThreadCtx) + Send + 'static>;
 
-/// A single-threaded supplier of requests for engine-only replay.
+/// Where the engine's requests come from and its replies go to: the
+/// live worker threads of [`Machine::run`], or a single-threaded supplier
+/// such as `lr-replay`'s recorded trace in [`Machine::run_source`].
 ///
-/// `next(tid)` is called exactly where the live machine would block on
-/// core `tid`'s rendezvous slot; `observe(tid, reply)` is called with the
-/// reply the live worker would have received, immediately before the next
-/// `next(tid)`. Returning `Err` from either aborts the run with a
-/// structured failure report — this is how `lr-replay` surfaces
-/// divergence between a recorded trace and the engine's behaviour.
+/// `next(tid)` is called each time the engine waits for core `tid`'s next
+/// request; `observe(tid, reply)` is called with the reply to that
+/// request, immediately before the next `next(tid)`. Returning `Err` from
+/// either aborts the run with a structured failure report — this is how
+/// `lr-replay` surfaces divergence between a recorded trace and the
+/// engine's behaviour.
 ///
 /// Calls for different `tid`s interleave in the engine's event order;
 /// each core's own `next`/`observe` alternation is in that core's
@@ -71,6 +73,10 @@ pub struct SourceAbort {
     pub report: String,
 }
 
+/// What a run hands back: stats, final memory, engine info, and the
+/// captured trace when the run recorded.
+type RunOutput = (MachineStats, SimMemory, EngineInfo, Option<MachineTrace>);
+
 /// Result of [`Machine::run_recorded`]: the usual run outputs plus the
 /// captured trace, ready for [`tracefmt::encode`].
 pub struct RecordedRun {
@@ -81,46 +87,77 @@ pub struct RecordedRun {
     pub trace: MachineTrace,
 }
 
-/// How `run_inner` is driven: live OS-thread workers (optionally
-/// recording) or an engine-only [`OpSource`].
-enum Mode<'a> {
-    Live {
-        programs: Vec<ThreadFn>,
-        record: bool,
-    },
-    Source {
-        threads: usize,
-        source: &'a mut dyn OpSource,
-    },
+/// The live workers: one OS thread per program, each running its
+/// closure against a [`ThreadCtx`] that trades requests and replies with
+/// the engine through a pair of rendezvous slots.
+struct Workers {
+    req_rx: Vec<SlotReceiver<Request>>,
+    reply_tx: Vec<SlotSender<Reply>>,
+    handles: Vec<std::thread::JoinHandle<()>>,
 }
 
-/// Where requests come from and replies go to: the live rendezvous slots
-/// or an [`OpSource`] feeding recorded ops from the engine's own thread.
-enum Transport<'a> {
-    Live {
-        req_rx: Vec<SlotReceiver<Request>>,
-        reply_tx: Vec<SlotSender<Reply>>,
-    },
-    Source(&'a mut dyn OpSource),
-}
-
-impl Transport<'_> {
-    fn recv(&mut self, tid: usize) -> Result<Request, String> {
-        match self {
-            Transport::Live { req_rx, .. } => req_rx[tid]
-                .recv()
-                .map_err(|_| format!("core {tid}: worker hung up without sending Exit")),
-            Transport::Source(src) => src.next(tid),
+impl Workers {
+    /// Start one worker per program. `record` makes barrier crossings
+    /// send their trace markers.
+    fn spawn(programs: Vec<ThreadFn>, cfg: &SystemConfig, record: bool) -> Self {
+        let n = programs.len();
+        let mut w = Workers {
+            req_rx: Vec::with_capacity(n),
+            reply_tx: Vec::with_capacity(n),
+            handles: Vec::with_capacity(n),
+        };
+        for (tid, f) in programs.into_iter().enumerate() {
+            let (rtx, rrx) = slot::<Request>();
+            let (ptx, prx) = slot::<Reply>();
+            // A worker's reply may be many engine events away (other
+            // workers' ops are simulated first), so park early instead of
+            // lingering in the host scheduler's rotation and slowing the
+            // handoffs of the pair that is making progress. The engine's
+            // request receiver keeps the default (large) cap: the worker
+            // it just woke is always the very next sender.
+            let prx = prx.with_yield_cap(WORKER_YIELD_CAP / n as u32);
+            let mut tctx = ThreadCtx::new(
+                tid,
+                cfg.instruction_cost,
+                cfg.lease.clone(),
+                cfg.seed,
+                rtx,
+                prx,
+                record,
+            );
+            w.handles.push(std::thread::spawn(move || {
+                let r = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut tctx)));
+                tctx.send_exit(r.is_err());
+            }));
+            w.req_rx.push(rrx);
+            w.reply_tx.push(ptx);
         }
+        w
     }
 
-    fn reply(&mut self, tid: usize, r: Reply) -> Result<(), String> {
-        match self {
-            Transport::Live { reply_tx, .. } => reply_tx[tid]
-                .send(r)
-                .map_err(|_| format!("core {tid}: worker hung up before receiving its reply")),
-            Transport::Source(src) => src.observe(tid, r),
+    /// Wait for every worker to finish. The slots close first, so the
+    /// workers of a failed run, still blocked on the engine, see the
+    /// hang-up and exit.
+    fn join(self) {
+        drop(self.req_rx);
+        drop(self.reply_tx);
+        for h in self.handles {
+            let _ = h.join();
         }
+    }
+}
+
+impl OpSource for Workers {
+    fn next(&mut self, tid: usize) -> Result<Request, String> {
+        self.req_rx[tid]
+            .recv()
+            .map_err(|_| format!("core {tid}: worker hung up without sending Exit"))
+    }
+
+    fn observe(&mut self, tid: usize, reply: Reply) -> Result<(), String> {
+        self.reply_tx[tid]
+            .send(reply)
+            .map_err(|_| format!("core {tid}: worker hung up before receiving its reply"))
     }
 }
 
@@ -207,7 +244,7 @@ fn write_trace_file(out: &TraceOutput, trace: &MachineTrace) {
 /// Yield-phase budget pool for worker reply receivers, divided by the
 /// worker count: the more workers are waiting, the longer each host
 /// scheduling rotation, so the quicker each should fall back to parking
-/// (see the comment where `run_inner` builds each worker's slots).
+/// (see the comment where [`Workers::spawn`] builds each worker's slots).
 const WORKER_YIELD_CAP: u32 = 16;
 
 /// Host-level observability for one run: how the execution engine (not
@@ -602,54 +639,33 @@ impl Machine {
     /// Like [`Machine::run`], additionally returning the final simulated
     /// memory for post-run audits (rank sums, final counter values, ...).
     pub fn run_with_memory(self, programs: Vec<ThreadFn>) -> (MachineStats, SimMemory) {
-        let (stats, mem, _events) = self.run_counted(programs);
+        let (stats, mem, _info) = self.run_counted_info(programs);
         (stats, mem)
     }
 
     /// Like [`Machine::run_with_memory`], additionally returning the
-    /// number of discrete events the engine processed — the denominator
-    /// for host-throughput measurements (`engine_throughput` scenario).
-    /// Kept out of [`MachineStats`] so the published simulated metrics
-    /// stay exactly the paper's.
-    pub fn run_counted(self, programs: Vec<ThreadFn>) -> (MachineStats, SimMemory, u64) {
-        let (stats, mem, info) = self.run_counted_info(programs);
-        (stats, mem, info.events)
-    }
-
-    /// Like [`Machine::run_counted`], returning the full [`EngineInfo`]
-    /// (event count, allocator messages) instead of the bare event
-    /// count.
+    /// engine's [`EngineInfo`] (event count, allocator messages): host
+    /// observability kept out of [`MachineStats`] so the published
+    /// simulated metrics stay exactly the paper's.
     pub fn run_counted_info(
         self,
         programs: Vec<ThreadFn>,
     ) -> (MachineStats, SimMemory, EngineInfo) {
-        match self.run_inner(Mode::Live {
-            programs,
-            record: false,
-        }) {
-            Ok((stats, mem, info, _)) => (stats, mem, info),
-            // Live-mode failures panic inside run_inner; keep the
-            // fallback for type completeness.
-            Err(abort) => panic!("{}", abort.report),
-        }
+        let (stats, mem, info, _) = self.run_live(programs, false);
+        (stats, mem, info)
     }
 
-    /// Like [`Machine::run_counted`], additionally capturing every
+    /// Like [`Machine::run_counted_info`], additionally capturing every
     /// worker's op stream (operands, issue times, and observed replies)
     /// plus a pre-run memory snapshot, as a [`MachineTrace`] ready for
     /// [`tracefmt::encode`] and later engine-only replay.
     pub fn run_recorded(self, programs: Vec<ThreadFn>) -> RecordedRun {
-        match self.run_inner(Mode::Live {
-            programs,
-            record: true,
-        }) {
-            Ok((stats, mem, info, trace)) => RecordedRun {
-                stats,
-                mem,
-                events: info.events,
-                trace: trace.expect("recording run produces a trace"),
-            },
-            Err(abort) => panic!("{}", abort.report),
+        let (stats, mem, info, trace) = self.run_live(programs, true);
+        RecordedRun {
+            stats,
+            mem,
+            events: info.events,
+            trace: trace.expect("recording run produces a trace"),
         }
     }
 
@@ -664,32 +680,39 @@ impl Machine {
         threads: usize,
         source: &mut dyn OpSource,
     ) -> Result<(MachineStats, SimMemory, u64), Box<SourceAbort>> {
-        let (stats, mem, info, _) = self.run_inner(Mode::Source { threads, source })?;
+        let (stats, mem, info, _) = self.run_inner(threads, source, false)?;
         Ok((stats, mem, info.events))
     }
 
-    #[allow(clippy::type_complexity)]
+    /// Run `programs` on live workers and join them. The run records
+    /// when `record` asks for it or a trace output is configured.
+    /// Panics with the failure report if the run fails.
+    fn run_live(self, programs: Vec<ThreadFn>, record: bool) -> RunOutput {
+        let record = record || self.trace_out.is_some();
+        let n = programs.len();
+        let mut workers = Workers::spawn(programs, &self.cfg, record);
+        let res = self.run_inner(n, &mut workers, record);
+        workers.join();
+        res.unwrap_or_else(|abort| panic!("{}", abort.report))
+    }
+
+    /// Drive `n` cores from `source` to completion. A recording run
+    /// captures the trace and writes it to the configured trace output.
     fn run_inner(
         self,
-        mode: Mode<'_>,
-    ) -> Result<(MachineStats, SimMemory, EngineInfo, Option<MachineTrace>), Box<SourceAbort>> {
+        n: usize,
+        source: &mut dyn OpSource,
+        record: bool,
+    ) -> Result<RunOutput, Box<SourceAbort>> {
         let trace_depth = self.trace_depth;
         let trace_out = self.trace_out;
         let cfg = self.cfg;
-        let (n, is_live) = match &mode {
-            Mode::Live { programs, .. } => (programs.len(), true),
-            Mode::Source { threads, .. } => (*threads, false),
-        };
         assert!(n >= 1, "no workload threads");
         assert!(
             n <= cfg.num_cores,
             "{n} threads exceed {} cores",
             cfg.num_cores
         );
-        // Recording is on when explicitly requested (run_recorded) or
-        // when a trace output destination was configured.
-        let trace_out = if is_live { trace_out } else { None };
-        let record = trace_out.is_some() || matches!(mode, Mode::Live { record: true, .. });
 
         let engine = CoherenceEngine::new(&cfg);
         let mem = self.mem;
@@ -714,41 +737,6 @@ impl Machine {
             armed_scratch: Vec::new(),
         };
 
-        let (transport, handles) = match mode {
-            Mode::Live { programs, .. } => {
-                let mut req_rx: Vec<SlotReceiver<Request>> = Vec::with_capacity(n);
-                let mut reply_tx: Vec<SlotSender<Reply>> = Vec::with_capacity(n);
-                let mut handles = Vec::with_capacity(n);
-                for (tid, f) in programs.into_iter().enumerate() {
-                    let (rtx, rrx) = slot::<Request>();
-                    let (ptx, prx) = slot::<Reply>();
-                    // A worker's reply may be many engine events away (other
-                    // workers' ops are simulated first), so park early instead of
-                    // lingering in the host scheduler's rotation and slowing the
-                    // handoffs of the pair that is making progress. The engine's
-                    // request receiver keeps the default (large) cap: the worker
-                    // it just woke is always the very next sender.
-                    let prx = prx.with_yield_cap(WORKER_YIELD_CAP / n as u32);
-                    let mut tctx = ThreadCtx::new(
-                        tid,
-                        cfg.instruction_cost,
-                        cfg.lease.clone(),
-                        cfg.seed,
-                        rtx,
-                        prx,
-                        record,
-                    );
-                    handles.push(std::thread::spawn(move || {
-                        let r = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut tctx)));
-                        tctx.send_exit(r.is_err());
-                    }));
-                    req_rx.push(rrx);
-                    reply_tx.push(ptx);
-                }
-                (Transport::Live { req_rx, reply_tx }, handles)
-            }
-            Mode::Source { source, .. } => (Transport::Source(source), Vec::new()),
-        };
         // Setup pushes: same-tile sends at t = 0, before any pop.
         for tid in 0..n {
             ms.queue.push(tid, 0, tid, 0, Ev::Start(tid));
@@ -760,7 +748,7 @@ impl Machine {
             ms,
             scratch: Scratch::default(),
             mem,
-            transport,
+            source,
             pending: (0..n).map(|_| None).collect(),
             live: n,
             finish_time: 0,
@@ -772,23 +760,27 @@ impl Machine {
         };
 
         // Any failure inside the event loop — watchdog trip, protocol
-        // assertion (panic), divergence or deadlock (Err) — is caught
-        // and rendered as one coherent report: the failure reason, the
-        // trace window, the in-flight protocol state, and every core's
-        // lease table. Live runs re-raise the report as a panic; source
-        // runs hand it back as a structured `SourceAbort`.
+        // assertion (panic), divergence or deadlock (Err), or a worker
+        // that panicked (every `Exit` has arrived once the loop ends) —
+        // is caught and rendered as one coherent report: the failure
+        // reason, the trace window, the in-flight protocol state, and
+        // every core's lease table.
         let loop_result = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
             while let Some((t, _, ev)) = core.ms.queue.pop_global() {
                 core.apply(t, ev)?;
             }
-            core.finish_checks()
+            core.finish_checks()?;
+            if !core.panicked.is_empty() {
+                return Err(format!(
+                    "workload thread(s) {:?} panicked inside the simulation",
+                    core.panicked
+                ));
+            }
+            Ok(())
         }))
         .unwrap_or_else(|p| Err(panic_payload_msg(p.as_ref())));
         if let Err(reason) = loop_result {
             let report = render_failure_report(&reason, &core.ms, &core.engine, &core.pending);
-            if is_live {
-                panic!("{report}");
-            }
             return Err(Box::new(SourceAbort { reason, report }));
         }
         let EngineCore {
@@ -796,27 +788,13 @@ impl Machine {
             engine,
             ms,
             mem,
-            transport,
-            pending,
             finish_time,
             exit_inst,
             exit_ops,
-            panicked,
             alloc_msgs,
             records,
             ..
         } = core;
-        drop(transport);
-
-        for h in handles {
-            let _ = h.join();
-        }
-        if !panicked.is_empty() {
-            // Same coherent report as a loop failure: the worker panic is
-            // the reason, the protocol state is the context.
-            let reason = format!("workload thread(s) {panicked:?} panicked inside the simulation");
-            panic!("{}", render_failure_report(&reason, &ms, &engine, &pending));
-        }
 
         let info = EngineInfo {
             events: ms.queue.processed(),
@@ -855,19 +833,19 @@ impl Machine {
 }
 
 /// The engine state: protocol, lease tables, event store, simulated
-/// memory, worker transport, and per-core completion bookkeeping.
+/// memory, op source, and per-core completion bookkeeping.
 ///
 /// Every event goes through [`EngineCore::apply`], and applying an
 /// event touches only state owned by the event's tile: its engine
-/// slices, its core's lease table/counters/pending slot/rendezvous
-/// endpoints. Cross-tile effects ride queued messages.
+/// slices, its core's lease table/counters/pending slot/op stream.
+/// Cross-tile effects ride queued messages.
 struct EngineCore<'a> {
     cfg: SystemConfig,
     engine: CoherenceEngine,
     ms: MachineState,
     scratch: Scratch,
     mem: SimMemory,
-    transport: Transport<'a>,
+    source: &'a mut dyn OpSource,
     pending: Vec<Option<Pending>>,
     /// Workers that have not sent `Exit` yet.
     live: usize,
@@ -1029,19 +1007,19 @@ impl EngineCore<'_> {
         }
     }
 
-    /// Block until worker `tid` sends its next instruction (`tid` is the
-    /// only runnable entity of its own pipeline right now). In source
-    /// mode this is a plain function call into the [`OpSource`]. Every
-    /// request is received on the engine thread, so each rendezvous slot
-    /// keeps one receiver thread for its whole life (the slot's
-    /// pinned-consumer requirement).
+    /// Take core `tid`'s next instruction from the [`OpSource`]: a live
+    /// worker blocks the engine until it sends (`tid` is the only
+    /// runnable entity of its own pipeline right now). Every request is
+    /// received on the engine thread, so each rendezvous slot keeps one
+    /// receiver thread for its whole life (the slot's pinned-consumer
+    /// requirement).
     ///
     /// A recording run appends every received op to `tid`'s trace
     /// stream (all but the `Exit` of a panicked worker). A barrier
     /// marker is recorded and acknowledged here, and the wait goes on.
     fn await_request(&mut self, tid: usize, t: Cycle) -> Result<(), String> {
         loop {
-            let r = self.transport.recv(tid)?;
+            let r = self.source.next(tid)?;
             debug_assert_eq!(r.tid, tid);
             if let Some(records) = &mut self.records {
                 if !matches!(r.op, Op::Exit { panicked: true, .. }) {
@@ -1058,7 +1036,7 @@ impl EngineCore<'_> {
             }
             match r.op {
                 Op::Barrier => {
-                    self.transport.reply(
+                    self.source.observe(
                         tid,
                         Reply {
                             time: r.at,
@@ -1360,7 +1338,7 @@ impl EngineCore<'_> {
             rec.reply_value = value;
             rec.reply_flag = flag;
         }
-        self.transport.reply(
+        self.source.observe(
             tid,
             Reply {
                 time: t,

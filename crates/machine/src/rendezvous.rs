@@ -46,20 +46,21 @@ const WAITING: u8 = 2;
 /// hosts (the peer must be able to run *while* we spin); covers the
 /// peer's handoff work when it is already on another core.
 ///
-/// Tuning data (`lr-bench --scenario engine_throughput --threads 8
-/// --ops 4000` on a single-hardware-thread container, with the spin
-/// phase forced on by an override this module no longer has): spinning
-/// where the peer cannot run is pure loss, and the loss scales linearly
-/// with the round count — contended-faa retires 440k sim-ops/s at 0
-/// rounds, 296k at 32, 145k at 128, 51k at 512, 14k at 2048 (private-rw
-/// and events-resident degrade in the same ratios). The default path
+/// Tuning data (8 workers FAA-ing one shared line, 4000 ops each, on a
+/// single-hardware-thread container, with the spin phase forced on by
+/// an override this module no longer has): spinning where the peer
+/// cannot run is pure loss, and the loss scales linearly with the
+/// round count — 440k sim-ops/s at 0 rounds, 296k at 32, 145k at 128,
+/// 51k at 512, 14k at 2048 (private read/write and private lease-churn
+/// loops degrade in the same ratios). The default path
 /// measures within noise of the 0-round row, i.e. the
 /// `available_parallelism` probe that disables the spin phase on
 /// single-threaded hosts is doing exactly its job — which is why 128 is
 /// safe as the multicore setting: it is never reached on hosts where it
 /// measures as harmful, and on multicore hosts it covers the peer's
 /// ~100-cycle handoff window without approaching the yield phase's
-/// cost. A multicore host should re-measure before changing it.
+/// cost. A multicore host should re-measure before changing it, with
+/// perfbench's `handoff.ns_per_op` on its live workloads.
 const SPIN_ROUNDS: u32 = 128;
 
 /// Bounds for the adaptive `yield_now` budget before parking. A

@@ -328,7 +328,7 @@ pub fn write_trace(path: &Path, trace: &MachineTrace) -> std::io::Result<()> {
 }
 
 /// Every `*.lrt` trace file in `dir`, sorted by file name — the
-/// canonical iteration order for corpus replays and `--replay DIR`.
+/// canonical iteration order of [`verify_dir`].
 pub fn trace_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -338,28 +338,35 @@ pub fn trace_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(paths)
 }
 
-/// Outcome of a successful [`verify_file`] call.
-pub struct VerifiedTrace {
-    /// Recorded engine-visible ops in the trace.
-    pub ops: u64,
-    /// Simulated core count.
-    pub cores: usize,
-    /// The reproduced (and byte-verified) statistics.
-    pub stats: MachineStats,
-}
-
-/// Load one trace file and [`verify`] it, folding IO, decode, and
-/// divergence failures into one printable error — the shared engine
-/// behind `lr-bench --replay`, `lr-replay`, and the fuzz farm's corpus
-/// gate.
-pub fn verify_file(path: &Path) -> Result<VerifiedTrace, String> {
-    let trace = read_trace(path).map_err(|e| e.to_string())?;
-    let stats = verify(&trace).map_err(|d| d.to_string())?;
-    Ok(VerifiedTrace {
-        ops: trace.total_ops(),
-        cores: trace.cores.len(),
-        stats,
-    })
+/// Load and [`verify`] every `*.lrt` in `dir`, in [`trace_files`]
+/// order — the check `lr-replay DIR` runs on a recorded sweep and on
+/// the regression corpus. Returns `(traces, total recorded ops)`, or one
+/// line per failing trace (IO, decode or divergence); an unreadable or
+/// trace-less directory fails too.
+pub fn verify_dir(dir: &Path) -> Result<(usize, u64), Vec<String>> {
+    let paths = match trace_files(dir) {
+        Ok(p) => p,
+        Err(e) => return Err(vec![format!("cannot read {}: {e}", dir.display())]),
+    };
+    if paths.is_empty() {
+        return Err(vec![format!("no .lrt traces in {}", dir.display())]);
+    }
+    let mut failures = Vec::new();
+    let mut total_ops = 0u64;
+    for path in &paths {
+        let verified = read_trace(path)
+            .map_err(|e| e.to_string())
+            .and_then(|t| verify(&t).map(|_| t.total_ops()).map_err(|d| d.to_string()));
+        match verified {
+            Ok(ops) => total_ops += ops,
+            Err(e) => failures.push(format!("{}: {e}", path.display())),
+        }
+    }
+    if failures.is_empty() {
+        Ok((paths.len(), total_ops))
+    } else {
+        Err(failures)
+    }
 }
 
 #[cfg(test)]

@@ -135,32 +135,6 @@ impl MachineStats {
         }
     }
 
-    /// Merge another machine-level stats block into this one: scalar
-    /// counters add, `max_dir_queue_len` takes the max, and per-core
-    /// counters merge index-wise (an empty `cores` vec on either side
-    /// contributes nothing). Every counter update is commutative and
-    /// associative over `u64`/`max`, so merging partial blocks in any
-    /// order is byte-identical to sequential accumulation.
-    pub fn merge_from(&mut self, o: &MachineStats) {
-        self.total_cycles = self.total_cycles.max(o.total_cycles);
-        self.dir_requests += o.dir_requests;
-        self.l2_hits += o.l2_hits;
-        self.l2_misses += o.l2_misses;
-        self.invalidations += o.invalidations;
-        self.owner_probes += o.owner_probes;
-        self.msgs_control += o.msgs_control;
-        self.msgs_data += o.msgs_data;
-        self.flit_hops += o.flit_hops;
-        self.cross_socket_msgs += o.cross_socket_msgs;
-        self.socket_flit_hops += o.socket_flit_hops;
-        self.dir_queue_wait_cycles += o.dir_queue_wait_cycles;
-        self.max_dir_queue_len = self.max_dir_queue_len.max(o.max_dir_queue_len);
-        self.app_ops += o.app_ops;
-        for (mine, theirs) in self.cores.iter_mut().zip(&o.cores) {
-            mine.merge(theirs);
-        }
-    }
-
     /// Sum of all per-core counters.
     pub fn core_totals(&self) -> CoreStats {
         let mut t = CoreStats::default();
@@ -348,36 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_is_order_independent_and_matches_sequential() {
-        // Partial blocks (scalars only, empty cores) merged into a
-        // base block, vs accumulating the same
-        // updates sequentially into one block.
-        let mk = |d, h, q: usize| MachineStats {
-            dir_requests: d,
-            l2_hits: h,
-            max_dir_queue_len: q,
-            ..MachineStats::default()
-        };
-        let parts = [mk(3, 1, 2), mk(5, 0, 7), mk(0, 4, 1)];
-        let mut sequential = MachineStats::new(2);
-        for p in &parts {
-            sequential.dir_requests += p.dir_requests;
-            sequential.l2_hits += p.l2_hits;
-            sequential.max_dir_queue_len = sequential.max_dir_queue_len.max(p.max_dir_queue_len);
-        }
-        let mut merged = MachineStats::new(2);
-        for p in &parts {
-            merged.merge_from(p);
-        }
-        assert_eq!(merged.to_json(), sequential.to_json());
-        // Empty `cores` on the partial side leaves per-core data alone.
-        merged.cores[1].l1_misses = 9;
-        merged.merge_from(&mk(1, 1, 1));
-        assert_eq!(merged.cores[1].l1_misses, 9);
-        assert_eq!(merged.dir_requests, 9);
-    }
-
-    #[test]
     fn throughput_and_energy_per_op() {
         let mut s = MachineStats::new(2);
         s.total_cycles = 1_000_000; // 1 ms at 1 GHz
@@ -446,11 +390,6 @@ mod tests {
         assert!(j.contains("\"cross_socket_msgs\":4"));
         assert!(j.contains("\"socket_flit_hops\":36"));
         assert!((s.energy_nj(&m) - base - 36.0 * m.socket_flit_hop_nj).abs() < 1e-9);
-        let mut t = MachineStats::new(1);
-        t.merge_from(&s);
-        t.merge_from(&s);
-        assert_eq!(t.cross_socket_msgs, 8);
-        assert_eq!(t.socket_flit_hops, 72);
     }
 
     #[test]
