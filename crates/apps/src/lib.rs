@@ -10,6 +10,8 @@
 //! * [`graph`] — the synthetic power-law web-graph generator feeding
 //!   Pagerank.
 
+#![forbid(unsafe_code)]
+
 pub mod counter;
 pub mod graph;
 pub mod pagerank;

@@ -11,6 +11,8 @@
 //!   --list`) — filters, `--jobs N` parallelism, `--smoke`;
 //! * the library API ([`build_plan`] + [`run`]) used by the tests.
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 pub mod report;
 pub mod scenario;

@@ -33,6 +33,8 @@
 //! every tile-slice access is checked against the executing tile and
 //! panics on a violation.
 
+#![forbid(unsafe_code)]
+
 mod dir;
 mod engine;
 #[cfg(test)]

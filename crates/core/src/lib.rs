@@ -24,18 +24,24 @@
 //!   when the last line is granted. Releasing any member releases the
 //!   whole group.
 //!
-//! The table itself is pure bookkeeping: the `lr-machine` crate wires it
-//! to the coherence engine (`lr-coherence`), which does the actual probe
-//! queuing and resumption.
+//! The table ([`LeaseTable`]) is pure bookkeeping. The controller
+//! ([`LeaseController`]) runs Algorithms 1 and 2 over one table per core:
+//! it answers the coherence engine's lease hooks (`lr-coherence`), the
+//! lease-counter expiries and the lease instructions, counts how every
+//! lease ends, and hands back the lines it released, the lines to pin
+//! and the expiries to arm. The embedder (`lr-machine`) only applies
+//! those effects; the engine queues and resumes the probes.
 
+#![forbid(unsafe_code)]
+
+pub mod controller;
 pub mod predictor;
 pub mod snapshot;
 pub mod software;
 pub mod table;
 
+pub use controller::LeaseController;
 pub use predictor::{AdaptiveLease, LeasePredictor};
 pub use snapshot::{snapshot, LeaseOps};
 pub use software::software_multilease_schedule;
-pub use table::{
-    ArmedCounter, BeginLease, LeaseState, LeaseTable, MultiLeaseBegin, ReleaseOutcome,
-};
+pub use table::{ArmedCounter, BeginLease, LeaseState, LeaseTable};

@@ -1,8 +1,9 @@
 //! The per-core lease table (Algorithm 1 and 2 of the paper).
 //!
 //! The table is pure state: it decides *what* should happen (which lines
-//! to release, when counters expire) and the machine layer performs the
-//! coherence-visible effects through `lr-coherence`.
+//! to release, when counters expire). [`crate::LeaseController`] drives
+//! one table per core and hands the coherence-visible effects back to
+//! its embedder.
 
 use lr_sim_core::{Cycle, LeaseConfig, LineAddr};
 
@@ -21,12 +22,12 @@ struct Entry {
     /// acquisition order exists to prevent (Proposition 3: "p1 must have
     /// acquired R0 as part of its current MultiLease call").
     granted: bool,
-    /// Generation token to invalidate stale expiry events.
+    /// Insertion number: the FIFO order of `MAX_NUM_LEASES` replacement,
+    /// and the token that tells a stale expiry event from a current one.
     generation: u64,
-    /// FIFO insertion order (for `MAX_NUM_LEASES` replacement).
-    seq: u64,
-    /// MultiLease group id, if part of a joint lease.
-    group: Option<u64>,
+    /// Member of the MultiLease group. A table holds at most one group:
+    /// a group is admitted only into an empty table.
+    grouped: bool,
 }
 
 /// Probe-relevant state of a line in the table (see
@@ -63,37 +64,6 @@ pub enum BeginLease {
     },
 }
 
-/// Result of `MultiLease` admission (Algorithm 2).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MultiLeaseBegin {
-    /// The request would exceed `MAX_NUM_LEASES` and is ignored
-    /// (Algorithm 2 line 5). The caller must still release the previously
-    /// held leases listed here (Algorithm 2 line 2 releases them first).
-    Rejected {
-        /// Leases released by the implicit `RELEASEALL`.
-        released: Vec<LineAddr>,
-    },
-    /// Admitted: acquire `sorted_lines` in order, notifying the table
-    /// with [`LeaseTable::group_line_granted`] after each grant.
-    Admitted {
-        /// Leases released by the implicit `RELEASEALL`.
-        released: Vec<LineAddr>,
-        /// The group's lines in the fixed global acquisition order.
-        sorted_lines: Vec<LineAddr>,
-    },
-}
-
-/// Result of a release.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReleaseOutcome {
-    /// No lease on that line (release does nothing, Algorithm 1).
-    NotFound,
-    /// These lines were released. A singleton for a plain lease; the
-    /// entire group for a MultiLease member (Algorithm 2: "a release on
-    /// any address in the group causes all others to be canceled").
-    Released(Vec<LineAddr>),
-}
-
 /// A started lease counter the machine must arm an expiry event for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArmedCounter {
@@ -101,7 +71,7 @@ pub struct ArmedCounter {
     pub line: LineAddr,
     /// Absolute expiry time.
     pub expires: Cycle,
-    /// Generation token to pass back to [`LeaseTable::on_expiry`].
+    /// Generation token to pass back to [`LeaseTable::on_expiry_into`].
     pub generation: u64,
 }
 
@@ -110,11 +80,7 @@ pub struct ArmedCounter {
 pub struct LeaseTable {
     cfg: LeaseConfig,
     entries: Vec<Entry>,
-    next_seq: u64,
     next_gen: u64,
-    next_group: u64,
-    /// In-progress MultiLease acquisition: `(group id, lines granted so far)`.
-    acquiring: Option<(u64, usize)>,
 }
 
 impl LeaseTable {
@@ -124,16 +90,8 @@ impl LeaseTable {
         LeaseTable {
             cfg,
             entries: Vec::new(),
-            next_seq: 0,
             next_gen: 0,
-            next_group: 0,
-            acquiring: None,
         }
-    }
-
-    /// The table's configuration.
-    pub fn config(&self) -> &LeaseConfig {
-        &self.cfg
     }
 
     /// Number of live entries.
@@ -149,7 +107,7 @@ impl LeaseTable {
     /// Lines currently leased, in FIFO order.
     pub fn lines(&self) -> Vec<LineAddr> {
         let mut v: Vec<&Entry> = self.entries.iter().collect();
-        v.sort_by_key(|e| e.seq);
+        v.sort_by_key(|e| e.generation);
         v.into_iter().map(|e| e.line).collect()
     }
 
@@ -161,12 +119,17 @@ impl LeaseTable {
         self.entries
             .iter()
             .filter(|e| sorted.binary_search(&e.line).is_ok())
-            .min_by_key(|e| e.seq)
+            .min_by_key(|e| e.generation)
             .map(|e| e.line)
     }
 
     fn find(&self, line: LineAddr) -> Option<usize> {
         self.entries.iter().position(|e| e.line == line)
+    }
+
+    /// A MultiLease group is being acquired: some member is not granted.
+    fn acquiring(&self) -> bool {
+        self.entries.iter().any(|e| e.grouped && !e.granted)
     }
 
     /// Is `line` actively leased at time `now`? True for granted entries
@@ -197,66 +160,56 @@ impl LeaseTable {
 
     /// Algorithm 1 `LEASE`: admit a lease on `line` for `time` cycles.
     ///
-    /// The caller must (a) voluntarily release any displaced line, then
-    /// (b) request `line` in Exclusive state with lease intent, and
-    /// (c) call [`LeaseTable::on_exclusive_granted`] when ownership
+    /// The caller must (a) complete the release of any displaced line,
+    /// then (b) request `line` in Exclusive state with lease intent, and
+    /// (c) call [`LeaseTable::on_exclusive_granted_into`] when ownership
     /// arrives.
     pub fn begin_lease(&mut self, line: LineAddr, time: Cycle) -> BeginLease {
         assert!(
-            self.acquiring.is_none(),
+            !self.acquiring(),
             "single leases may not be taken during a MultiLease acquisition"
         );
         if self.find(line).is_some() {
             return BeginLease::AlreadyLeased;
         }
-        let displaced = if self.entries.len() == self.cfg.max_num_leases {
-            let oldest = self
-                .entries
-                .iter()
-                .min_by_key(|e| e.seq)
-                .map(|e| e.line)
-                .unwrap();
+        let mut displaced = Vec::new();
+        if let Some(oldest) = self.displaced_by(line) {
             // A displaced group member cancels its whole group.
-            match self.release(oldest) {
-                ReleaseOutcome::Released(lines) => lines,
-                ReleaseOutcome::NotFound => unreachable!(),
-            }
-        } else {
-            Vec::new()
-        };
-        self.insert_entry(line, time, None);
+            self.release_into(oldest, &mut displaced);
+        }
+        self.insert_entry(line, time, false);
         BeginLease::Inserted { displaced }
     }
 
-    fn insert_entry(&mut self, line: LineAddr, time: Cycle, group: Option<u64>) {
-        let duration = time.min(self.cfg.max_lease_time);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let generation = self.next_gen;
-        self.next_gen += 1;
+    /// The lease that [`LeaseTable::begin_lease`] on `line` would
+    /// displace: the oldest (FIFO), if the table is full and `line` is not
+    /// leased already.
+    pub(crate) fn displaced_by(&self, line: LineAddr) -> Option<LineAddr> {
+        if self.entries.len() < self.cfg.max_num_leases || self.find(line).is_some() {
+            return None;
+        }
+        self.entries
+            .iter()
+            .min_by_key(|e| e.generation)
+            .map(|e| e.line)
+    }
+
+    fn insert_entry(&mut self, line: LineAddr, time: Cycle, grouped: bool) {
         self.entries.push(Entry {
             line,
-            duration,
+            duration: time.min(self.cfg.max_lease_time),
             expires: None,
             granted: false,
-            generation,
-            seq,
-            group,
+            generation: self.next_gen,
+            grouped,
         });
+        self.next_gen += 1;
     }
 
     /// Exclusive ownership of `line` arrived at `now`: start the counter
     /// (single leases) or record the grant (MultiLease groups, whose
-    /// counters start jointly). Returns the counters to arm.
-    pub fn on_exclusive_granted(&mut self, line: LineAddr, now: Cycle) -> Vec<ArmedCounter> {
-        let mut out = Vec::new();
-        self.on_exclusive_granted_into(line, now, &mut out);
-        out
-    }
-
-    /// [`LeaseTable::on_exclusive_granted`] into a reusable buffer:
-    /// clears `out` and appends the counters to arm (the engine-loop
-    /// variant, allocation-free at steady state).
+    /// counters start jointly). Clears `out` and appends the counters to
+    /// arm.
     pub fn on_exclusive_granted_into(
         &mut self,
         line: LineAddr,
@@ -269,155 +222,89 @@ impl LeaseTable {
             // was in flight; nothing to start.
             return;
         };
-        match self.entries[i].group {
-            None => {
-                let e = &mut self.entries[i];
-                e.granted = true;
-                let expires = now + e.duration;
-                e.expires = Some(expires);
-                out.push(ArmedCounter {
-                    line,
-                    expires,
-                    generation: e.generation,
-                });
+        let start = |e: &mut Entry| {
+            let expires = now + e.duration;
+            e.expires = Some(expires);
+            ArmedCounter {
+                line: e.line,
+                expires,
+                generation: e.generation,
             }
-            Some(g) => self.group_line_granted(g, line, now, out),
-        }
-    }
-
-    fn group_line_granted(
-        &mut self,
-        g: u64,
-        line: LineAddr,
-        now: Cycle,
-        out: &mut Vec<ArmedCounter>,
-    ) {
-        let Some(i) = self.find(line) else {
-            return;
         };
-        if self.entries[i].granted {
+        let e = &mut self.entries[i];
+        if !e.grouped {
+            e.granted = true;
+            out.push(start(e));
+            return;
+        }
+        if e.granted {
             // Duplicate grant (stale notification): ignore.
             return;
         }
-        self.entries[i].granted = true;
-        let Some((ag, granted)) = self.acquiring.as_mut() else {
-            // The group's acquisition was cancelled meanwhile.
-            return;
-        };
-        if *ag != g {
-            return;
-        }
-        *granted += 1;
-        let total = self.entries.iter().filter(|e| e.group == Some(g)).count();
-        if *granted < total {
+        e.granted = true;
+        if self.acquiring() {
             return;
         }
         // Last line granted: start every counter in the group jointly
         // (Section 5, "all corresponding counters are allocated and
         // started").
-        self.acquiring = None;
-        out.extend(
-            self.entries
-                .iter_mut()
-                .filter(|e| e.group == Some(g))
-                .map(|e| {
-                    let expires = now + e.duration;
-                    e.expires = Some(expires);
-                    ArmedCounter {
-                        line: e.line,
-                        expires,
-                        generation: e.generation,
-                    }
-                }),
-        );
+        out.extend(self.entries.iter_mut().filter(|e| e.grouped).map(start));
     }
 
-    /// Algorithm 2 `MULTILEASE`: admit a joint lease on `lines`.
+    /// Algorithm 2 `MULTILEASE`: admit a joint lease on `lines` for
+    /// `time` cycles.
     ///
-    /// Duplicate lines (same cache line reached through several addresses)
-    /// are coalesced. The caller must release the returned `released`
-    /// lines, then acquire `sorted_lines` in order with lease intent.
-    pub fn begin_multilease(&mut self, lines: &[LineAddr], time: Cycle) -> MultiLeaseBegin {
-        assert!(self.acquiring.is_none(), "nested MultiLease");
-        // RELEASEALL comes first (Algorithm 2 line 2).
-        let released = self.release_all();
-        let mut sorted: Vec<LineAddr> = lines.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() > self.cfg.max_num_leases {
-            return MultiLeaseBegin::Rejected { released };
+    /// The table must hold no lease: Algorithm 2 line 2 releases them
+    /// all first ([`LeaseTable::release_all_into`]). `lines` is sorted
+    /// and deduplicated in place (one cache line reached through several
+    /// addresses counts once) into the fixed global acquisition order.
+    /// Returns false, admitting nothing, if the group would exceed
+    /// `MAX_NUM_LEASES` (Algorithm 2 line 5). Once admitted, the caller
+    /// acquires `lines` in order with lease intent.
+    pub fn begin_multilease(&mut self, lines: &mut Vec<LineAddr>, time: Cycle) -> bool {
+        assert!(
+            self.entries.is_empty(),
+            "MultiLease admitted over held leases (Algorithm 2 releases them first)"
+        );
+        lines.sort_unstable();
+        lines.dedup();
+        if lines.len() > self.cfg.max_num_leases {
+            return false;
         }
-        let g = self.next_group;
-        self.next_group += 1;
-        for &l in &sorted {
-            self.insert_entry(l, time, Some(g));
+        for &l in lines.iter() {
+            self.insert_entry(l, time, true);
         }
-        // An empty MultiLease degenerates to RELEASEALL: nothing to acquire.
-        self.acquiring = if sorted.is_empty() {
-            None
-        } else {
-            Some((g, 0))
-        };
-        MultiLeaseBegin::Admitted {
-            released,
-            sorted_lines: sorted,
-        }
+        true
     }
 
-    /// Voluntary release of `line` (Algorithm 1 `RELEASE` /
-    /// Algorithm 2 `MULTIRELEASE`): removes the entry — and its whole
-    /// group, for MultiLease members.
-    pub fn release(&mut self, line: LineAddr) -> ReleaseOutcome {
-        let mut out = Vec::new();
-        if self.release_into(line, &mut out) {
-            ReleaseOutcome::Released(out)
-        } else {
-            ReleaseOutcome::NotFound
-        }
-    }
-
-    /// [`LeaseTable::release`] into a reusable buffer: clears `out`,
-    /// appends the released lines, and returns whether a lease was found
-    /// (the engine-loop variant, allocation-free at steady state).
+    /// Release of `line` (Algorithm 1 `RELEASE` / Algorithm 2
+    /// `MULTIRELEASE`): removes the entry — and its whole group, for
+    /// MultiLease members ("a release on any address in the group causes
+    /// all others to be canceled"). Clears `out`, appends the released
+    /// lines, and returns whether a lease was found.
     pub fn release_into(&mut self, line: LineAddr, out: &mut Vec<LineAddr>) -> bool {
         out.clear();
         let Some(i) = self.find(line) else {
             return false;
         };
-        match self.entries[i].group {
-            None => {
-                self.entries.swap_remove(i);
-                out.push(line);
-            }
-            Some(g) => {
-                self.entries.retain(|e| {
-                    if e.group == Some(g) {
-                        out.push(e.line);
-                        false
-                    } else {
-                        true
-                    }
-                });
-                if self.acquiring.is_some_and(|(ag, _)| ag == g) {
-                    self.acquiring = None;
+        if self.entries[i].grouped {
+            self.entries.retain(|e| {
+                if e.grouped {
+                    out.push(e.line);
                 }
-            }
+                !e.grouped
+            });
+        } else {
+            self.entries.swap_remove(i);
+            out.push(line);
         }
         true
     }
 
-    /// `RELEASEALL`: drop every lease, returning the released lines.
-    pub fn release_all(&mut self) -> Vec<LineAddr> {
-        let mut out = Vec::new();
-        self.release_all_into(&mut out);
-        out
-    }
-
-    /// [`LeaseTable::release_all`] into a reusable buffer: clears `out`
-    /// and appends every released line.
+    /// `RELEASEALL`: drop every lease. Clears `out` and appends every
+    /// released line.
     pub fn release_all_into(&mut self, out: &mut Vec<LineAddr>) {
         out.clear();
-        self.acquiring = None;
         out.extend(self.entries.drain(..).map(|e| e.line));
     }
 
@@ -425,38 +312,26 @@ impl LeaseTable {
     /// entry), for the machine's watchdog/deadlock report.
     pub fn debug_dump(&self) -> String {
         use std::fmt::Write;
-        if self.entries.is_empty() && self.acquiring.is_none() {
+        if self.entries.is_empty() {
             return String::from("  (empty)\n");
         }
         let mut s = String::new();
         let mut entries: Vec<&Entry> = self.entries.iter().collect();
-        entries.sort_by_key(|e| e.seq);
+        entries.sort_by_key(|e| e.generation);
         for e in entries {
             let _ = writeln!(
                 s,
-                "  {} duration={} expires={:?} granted={} gen={} group={:?}",
-                e.line, e.duration, e.expires, e.granted, e.generation, e.group
+                "  {} duration={} expires={:?} granted={} gen={} grouped={}",
+                e.line, e.duration, e.expires, e.granted, e.generation, e.grouped
             );
-        }
-        if let Some((g, granted)) = self.acquiring {
-            let total = self.entries.iter().filter(|e| e.group == Some(g)).count();
-            let _ = writeln!(s, "  acquiring group {g}: {granted}/{total} granted");
         }
         s
     }
 
-    /// A lease-counter expiry event fired. Returns the lines involuntarily
-    /// released (empty if the event was stale — the lease was already
+    /// A lease-counter expiry event fired. Clears `out`, appends the
+    /// lines involuntarily released, and returns whether the event was
+    /// still valid (false for a stale generation: the lease was already
     /// released and possibly replaced).
-    pub fn on_expiry(&mut self, line: LineAddr, generation: u64) -> Vec<LineAddr> {
-        let mut out = Vec::new();
-        self.on_expiry_into(line, generation, &mut out);
-        out
-    }
-
-    /// [`LeaseTable::on_expiry`] into a reusable buffer: clears `out`,
-    /// appends the involuntarily released lines, and returns whether the
-    /// event was still valid (false for stale generations).
     pub fn on_expiry_into(
         &mut self,
         line: LineAddr,
@@ -508,12 +383,15 @@ mod tests {
             "entry exists but no ownership yet: probes must not be delayed"
         );
         assert!(!t.is_leased(A, 0));
-        let armed = t.on_exclusive_granted(A, 100);
+        let mut armed = Vec::new();
+        t.on_exclusive_granted_into(A, 100, &mut armed);
         assert_eq!(armed.len(), 1);
         assert_eq!(armed[0].expires, 600);
         assert!(t.is_leased(A, 599));
         assert!(!t.is_leased(A, 600));
-        assert_eq!(t.on_expiry(A, armed[0].generation), vec![A]);
+        let mut released = Vec::new();
+        t.on_expiry_into(A, armed[0].generation, &mut released);
+        assert_eq!(released, vec![A]);
         assert!(t.is_empty());
     }
 
@@ -521,7 +399,8 @@ mod tests {
     fn duration_clamped_to_max_lease_time() {
         let mut t = table(4);
         t.begin_lease(A, u64::MAX);
-        let armed = t.on_exclusive_granted(A, 0);
+        let mut armed = Vec::new();
+        t.on_exclusive_granted_into(A, 0, &mut armed);
         assert_eq!(armed[0].expires, LeaseConfig::default().max_lease_time);
     }
 
@@ -529,7 +408,7 @@ mod tests {
     fn no_lease_extension_on_released_line() {
         let mut t = table(4);
         t.begin_lease(A, 100);
-        t.on_exclusive_granted(A, 0);
+        t.on_exclusive_granted_into(A, 0, &mut Vec::new());
         // Footnote 1: a second lease on a leased line does nothing.
         assert_eq!(t.begin_lease(A, 1_000_000), BeginLease::AlreadyLeased);
         assert!(!t.is_leased(A, 100));
@@ -551,44 +430,59 @@ mod tests {
     }
 
     #[test]
+    fn displaced_by_names_the_victim_only_when_full() {
+        let mut t = table(2);
+        t.begin_lease(A, 10);
+        assert_eq!(t.displaced_by(C), None, "room left");
+        t.begin_lease(B, 10);
+        assert_eq!(t.displaced_by(C), Some(A), "oldest first");
+        assert_eq!(t.displaced_by(B), None, "already leased: nothing moves");
+    }
+
+    #[test]
     fn voluntary_release_is_reported() {
         let mut t = table(4);
         t.begin_lease(A, 10);
-        t.on_exclusive_granted(A, 0);
-        assert_eq!(t.release(A), ReleaseOutcome::Released(vec![A]));
-        assert_eq!(t.release(A), ReleaseOutcome::NotFound);
+        t.on_exclusive_granted_into(A, 0, &mut Vec::new());
+        let mut released = Vec::new();
+        assert!(t.release_into(A, &mut released));
+        assert_eq!(released, vec![A]);
+        assert!(!t.release_into(A, &mut released));
     }
 
     #[test]
     fn stale_expiry_event_is_ignored() {
         let mut t = table(4);
         t.begin_lease(A, 10);
-        let armed = t.on_exclusive_granted(A, 0);
-        t.release(A);
+        let mut armed = Vec::new();
+        t.on_exclusive_granted_into(A, 0, &mut armed);
+        let stale = armed[0].generation;
+        let mut released = Vec::new();
+        t.release_into(A, &mut released);
         // The lease was re-taken: old expiry must not kill the new lease.
         t.begin_lease(A, 10);
-        t.on_exclusive_granted(A, 5);
-        assert!(t.on_expiry(A, armed[0].generation).is_empty());
+        t.on_exclusive_granted_into(A, 5, &mut armed);
+        t.on_expiry_into(A, stale, &mut released);
+        assert!(released.is_empty());
         assert!(t.is_leased(A, 6));
     }
 
     #[test]
     fn multilease_sorts_and_dedups() {
         let mut t = table(4);
-        match t.begin_multilease(&[C, A, B, A], 50) {
-            MultiLeaseBegin::Admitted {
-                released,
-                sorted_lines,
-            } => {
-                assert!(released.is_empty());
-                assert_eq!(sorted_lines, vec![A, B, C]);
-            }
-            other => panic!("{other:?}"),
-        }
+        let mut released = Vec::new();
+        t.release_all_into(&mut released);
+        let mut lines = vec![C, A, B, A];
+        assert!(t.begin_multilease(&mut lines, 50));
+        assert!(released.is_empty());
+        assert_eq!(lines, vec![A, B, C]);
         // Counters start only when the LAST line is granted.
-        assert!(t.on_exclusive_granted(A, 10).is_empty());
-        assert!(t.on_exclusive_granted(B, 20).is_empty());
-        let armed = t.on_exclusive_granted(C, 30);
+        let mut armed = Vec::new();
+        t.on_exclusive_granted_into(A, 10, &mut armed);
+        assert!(armed.is_empty());
+        t.on_exclusive_granted_into(B, 20, &mut armed);
+        assert!(armed.is_empty());
+        t.on_exclusive_granted_into(C, 30, &mut armed);
         assert_eq!(armed.len(), 3);
         for a in &armed {
             assert_eq!(a.expires, 80, "joint start at the last grant time");
@@ -599,52 +493,61 @@ mod tests {
     fn multilease_releases_held_leases_first() {
         let mut t = table(4);
         t.begin_lease(A, 10);
-        t.on_exclusive_granted(A, 0);
-        match t.begin_multilease(&[B, C], 50) {
-            MultiLeaseBegin::Admitted { released, .. } => assert_eq!(released, vec![A]),
-            other => panic!("{other:?}"),
-        }
+        t.on_exclusive_granted_into(A, 0, &mut Vec::new());
+        let mut released = Vec::new();
+        t.release_all_into(&mut released);
+        assert!(t.begin_multilease(&mut vec![B, C], 50));
+        assert_eq!(released, vec![A]);
+        assert_eq!(t.lines(), vec![B, C]);
+    }
+
+    #[test]
+    #[should_panic(expected = "MultiLease admitted over held leases")]
+    fn multilease_over_held_leases_panics() {
+        let mut t = table(4);
+        t.begin_lease(A, 10);
+        t.begin_multilease(&mut vec![B, C], 50);
     }
 
     #[test]
     fn multilease_over_capacity_rejected() {
         let mut t = table(2);
-        match t.begin_multilease(&[A, B, C], 50) {
-            MultiLeaseBegin::Rejected { released } => assert!(released.is_empty()),
-            other => panic!("{other:?}"),
-        }
+        let mut released = Vec::new();
+        t.release_all_into(&mut released);
+        assert!(!t.begin_multilease(&mut vec![A, B, C], 50));
+        assert!(released.is_empty());
         assert!(t.is_empty());
     }
 
     #[test]
     fn group_release_cancels_all_members() {
         let mut t = table(4);
-        t.begin_multilease(&[A, B], 50);
-        t.on_exclusive_granted(A, 0);
-        t.on_exclusive_granted(B, 10);
-        match t.release(B) {
-            ReleaseOutcome::Released(mut lines) => {
-                lines.sort_unstable();
-                assert_eq!(lines, vec![A, B]);
-            }
-            other => panic!("{other:?}"),
-        }
+        t.begin_multilease(&mut vec![A, B], 50);
+        t.on_exclusive_granted_into(A, 0, &mut Vec::new());
+        t.on_exclusive_granted_into(B, 10, &mut Vec::new());
+        let mut released = Vec::new();
+        assert!(t.release_into(B, &mut released));
+        released.sort_unstable();
+        assert_eq!(released, vec![A, B]);
         assert!(t.is_empty());
     }
 
     #[test]
     fn group_expiry_cancels_all_members() {
         let mut t = table(4);
-        t.begin_multilease(&[A, B], 50);
-        t.on_exclusive_granted(A, 0);
-        let armed = t.on_exclusive_granted(B, 10);
+        t.begin_multilease(&mut vec![A, B], 50);
+        let mut armed = Vec::new();
+        t.on_exclusive_granted_into(A, 0, &mut armed);
+        t.on_exclusive_granted_into(B, 10, &mut armed);
         let gen_a = armed.iter().find(|c| c.line == A).unwrap().generation;
-        let mut released = t.on_expiry(A, gen_a);
+        let mut released = Vec::new();
+        t.on_expiry_into(A, gen_a, &mut released);
         released.sort_unstable();
         assert_eq!(released, vec![A, B]);
         // The sibling expiry event is now stale.
         let gen_b = armed.iter().find(|c| c.line == B).unwrap().generation;
-        assert!(t.on_expiry(B, gen_b).is_empty());
+        t.on_expiry_into(B, gen_b, &mut released);
+        assert!(released.is_empty());
     }
 
     #[test]
@@ -652,8 +555,8 @@ mod tests {
         // Proposition 3 relies on lines acquired mid-MultiLease delaying
         // incoming probes even before the joint counters start.
         let mut t = table(4);
-        t.begin_multilease(&[A, B], 50);
-        t.on_exclusive_granted(A, 0);
+        t.begin_multilease(&mut vec![A, B], 50);
+        t.on_exclusive_granted_into(A, 0, &mut Vec::new());
         assert!(t.is_leased(A, 1_000_000), "no expiry before joint start");
     }
 
@@ -663,7 +566,9 @@ mod tests {
         t.begin_lease(A, 10);
         // A is displaced before its ownership arrives.
         t.begin_lease(B, 10);
-        assert!(t.on_exclusive_granted(A, 5).is_empty());
+        let mut armed = Vec::new();
+        t.on_exclusive_granted_into(A, 5, &mut armed);
+        assert!(armed.is_empty());
         assert!(!t.is_leased(A, 5));
     }
 
@@ -671,7 +576,7 @@ mod tests {
     #[should_panic(expected = "single leases may not be taken")]
     fn single_lease_during_multilease_panics() {
         let mut t = table(4);
-        t.begin_multilease(&[A, B], 50);
+        t.begin_multilease(&mut vec![A, B], 50);
         t.begin_lease(C, 10);
     }
 

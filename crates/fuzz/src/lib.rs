@@ -17,6 +17,8 @@
 //! a finding's file name alone (`repro_seedNNNN_variant_kind.lrt`)
 //! reproduces it.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod exec;
 pub mod gen;

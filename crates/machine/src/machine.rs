@@ -1,5 +1,10 @@
-//! The engine loop: ties the coherence protocol, lease tables, simulated
-//! memory, and lockstep workers together.
+//! The engine loop: ties the coherence protocol, the lease controller,
+//! simulated memory, and lockstep workers together.
+//!
+//! The lease logic lives in [`LeaseController`] (`lr-lease`). This loop
+//! translates ops into its calls and applies the effects it hands back:
+//! released lines go to [`CoherenceEngine::lease_released`] in order,
+//! pins to [`CoherenceEngine::pin`], expiries onto the event queue.
 //!
 //! ## Event routing
 //!
@@ -7,7 +12,7 @@
 //! worker's local issue time and an `OpComplete` event at its
 //! protocol-determined completion time. Every event names the tile it
 //! executes at ([`Ev::tile`]), and applying it touches only that tile's
-//! slice of machine state — its pending-op slot, its lease table —
+//! slice of machine state — its pending-op slot, its leases —
 //! mirroring the message-passing handler discipline of `lr-coherence`.
 //! The one piece of genuinely global machine state, the heap allocator,
 //! is reached by message too: `Malloc`/`Free` are routed to a fixed
@@ -22,7 +27,7 @@ use crate::ctx::ThreadCtx;
 use crate::proto::{Op, Reply, Request, ALLOC_COST};
 use crate::rendezvous::{slot, SlotReceiver, SlotSender};
 use lr_coherence::{AccessKind, CohContext, CohEvent, CoherenceEngine, ProbeAction};
-use lr_lease::{ArmedCounter, BeginLease, LeaseTable, MultiLeaseBegin};
+use lr_lease::LeaseController;
 use lr_sim_core::trace::{TraceEvent, TraceRing, TraceSink};
 use lr_sim_core::tracefmt::{self, MachineTrace, OpRecord};
 use lr_sim_core::{CoreId, Cycle, LineAddr, MachineStats, ShardedQueue, SystemConfig};
@@ -315,17 +320,6 @@ impl Ev {
     }
 }
 
-/// Per-core lease statistics collected by the machine layer.
-#[derive(Debug, Default, Clone)]
-struct LeaseCounters {
-    taken: u64,
-    voluntary: u64,
-    involuntary: u64,
-    overflow: u64,
-    broken: u64,
-    multileases: u64,
-}
-
 /// In-flight instruction state per worker.
 #[derive(Debug)]
 enum Pending {
@@ -333,15 +327,10 @@ enum Pending {
     Incoming(Op),
     /// A data access in the protocol; data moves at completion.
     Data { op: Op, issued: Cycle },
-    /// A single-lease acquisition in the protocol.
-    LeaseAcq { issued: Cycle },
-    /// A MultiLease group acquisition: lines acquired one at a time in
-    /// global order (Algorithm 2).
-    Multi {
-        lines: Vec<LineAddr>,
-        idx: usize,
-        issued: Cycle,
-    },
+    /// A lease acquisition in the protocol: one line, or a MultiLease
+    /// group's lines one at a time in global order (Algorithm 2), as
+    /// [`LeaseController::next_group_line`] hands them out.
+    Lease { issued: Cycle },
     /// A heap request in flight to/from the allocator home tile.
     Alloc { issued: Cycle },
     /// Immediate completion with a precomputed result.
@@ -352,28 +341,30 @@ enum Pending {
     },
 }
 
+/// Builds the trace event of one lease release.
+type TraceFn = fn(CoreId, LineAddr) -> TraceEvent;
+
 /// Reusable machine-loop buffers. Deferred-effect staging ping-pongs
-/// between here and [`MachineState`] (see [`EngineCore::drain`]) so the
-/// steady-state loop performs no per-event heap allocation.
+/// between here and the lease controller or [`MachineState`] (see
+/// [`EngineCore::drain`]) so the steady-state loop performs no per-event
+/// heap allocation.
 #[derive(Default)]
 struct Scratch {
     pins: Vec<(CoreId, LineAddr)>,
-    rels: Vec<(CoreId, LineAddr)>,
+    mates: Vec<(CoreId, LineAddr)>,
     completions: Vec<(u64, Cycle)>,
-    /// Release/expiry result lines for the machine-loop paths.
+    /// Lines the lease controller released on a machine-loop path.
     lines: Vec<LineAddr>,
 }
 
 /// Machine-layer state, and the [`CohContext`] the coherence engine
-/// sees: the event store, the lease tables and counters, the trace
-/// ring, the base time/tile of the event being applied (every
-/// `schedule` is relative to them, and the tile stamps the canonical
-/// push key) and the deferred effects of the engine call in progress.
+/// sees: the event store, the lease controller, the trace ring, the
+/// base time/tile of the event being applied (every `schedule` is
+/// relative to them, and the tile stamps the canonical push key) and the
+/// completions of the engine call in progress.
 struct MachineState {
     queue: ShardedQueue<Ev>,
-    tables: Vec<LeaseTable>,
-    lc: Vec<LeaseCounters>,
-    prioritization: bool,
+    leases: LeaseController,
     /// Structured trace window (depth 0 = off) fed by both the engine
     /// (through the [`CohContext`] hooks) and the machine loop itself.
     trace: TraceRing,
@@ -381,18 +372,8 @@ struct MachineState {
     base: Cycle,
     /// Tile of the event being applied (push source / canonical key).
     tile: usize,
-    /// Deferred effects, drained after every engine call.
+    /// Completions deferred by the engine call in progress.
     completions: Vec<(u64, Cycle)>,
-    to_pin: Vec<(CoreId, LineAddr)>,
-    deferred_release: Vec<(CoreId, LineAddr)>,
-    /// Reusable buffer for lease-release results inside the `CohContext`
-    /// hooks (the hook signatures are fixed, so the scratch lives here).
-    released_scratch: Vec<LineAddr>,
-    /// Reusable sorted copy of the engine's pinned-ways set for
-    /// [`CohContext::pinned_victim`] membership tests.
-    pinned_scratch: Vec<LineAddr>,
-    /// Reusable buffer for counters armed by an exclusive grant.
-    armed_scratch: Vec<ArmedCounter>,
 }
 
 impl CohContext for MachineState {
@@ -425,53 +406,11 @@ impl CohContext for MachineState {
         regular: bool,
         now: Cycle,
     ) -> ProbeAction {
-        match self.tables[owner.idx()].state(line, now) {
-            lr_lease::LeaseState::NotLeased => ProbeAction::Proceed,
-            // The entry exists but ownership has not been (re-)acquired
-            // under it: the line is merely stale-owned, so the probe may
-            // take it (the group's own request will fetch it back later,
-            // in sorted order — this is what keeps MultiLease
-            // deadlock-free, Proposition 3).
-            lr_lease::LeaseState::Pending => ProbeAction::Proceed,
-            lr_lease::LeaseState::Active => {
-                if regular && self.prioritization {
-                    // §5 prioritization: a regular request breaks the lease.
-                    let found =
-                        self.tables[owner.idx()].release_into(line, &mut self.released_scratch);
-                    assert!(found, "Active lease vanished under release");
-                    self.lc[owner.idx()].broken += self.released_scratch.len() as u64;
-                    for &l in &self.released_scratch {
-                        if l != line {
-                            self.deferred_release.push((owner, l));
-                        }
-                    }
-                    ProbeAction::ProceedBreakingLease
-                } else {
-                    ProbeAction::Queue
-                }
-            }
-            // Expired but the expiry event has not fired yet (tie at the
-            // same cycle): finish the involuntary release in place.
-            lr_lease::LeaseState::Expired => {
-                let found = self.tables[owner.idx()].release_into(line, &mut self.released_scratch);
-                assert!(found, "Expired lease vanished under release");
-                self.lc[owner.idx()].involuntary += self.released_scratch.len() as u64;
-                for &l in &self.released_scratch {
-                    if l != line {
-                        self.deferred_release.push((owner, l));
-                    }
-                }
-                ProbeAction::ProceedBreakingLease
-            }
-        }
+        self.leases.probe_action(owner, line, regular, now)
     }
 
     fn exclusive_granted(&mut self, core: CoreId, line: LineAddr, now: Cycle) {
-        self.tables[core.idx()].on_exclusive_granted_into(line, now, &mut self.armed_scratch);
-        if self.tables[core.idx()].is_leased(line, now) {
-            self.to_pin.push((core, line));
-        }
-        for a in &self.armed_scratch {
+        for a in self.leases.exclusive_granted(core, line, now) {
             // Expiries fire at the leasing core's own tile. Grants are
             // delivered at that same tile, so this is a same-tile push.
             self.queue.push(
@@ -494,37 +433,11 @@ impl CohContext for MachineState {
         pinned: &[LineAddr],
         _now: Cycle,
     ) -> Option<LineAddr> {
-        // Oldest lease first (FIFO), matching Algorithm 1's replacement.
-        // Membership is a binary search against a sorted copy of the
-        // pinned set (O(leases·log pinned)) instead of a linear
-        // `contains` per lease line.
-        self.pinned_scratch.clear();
-        self.pinned_scratch.extend_from_slice(pinned);
-        self.pinned_scratch.sort_unstable();
-        if let Some(l) = self.tables[core.idx()].oldest_member(&self.pinned_scratch) {
-            self.lc[core.idx()].overflow += 1;
-            if self.tables[core.idx()].release_into(l, &mut self.released_scratch) {
-                for &m in &self.released_scratch {
-                    if m != l {
-                        self.deferred_release.push((core, m));
-                    }
-                }
-            }
-            return Some(l);
-        }
-        // Stale pin (lease already gone): let the engine unpin it.
-        pinned.first().copied()
+        self.leases.pinned_victim(core, pinned)
     }
 
     fn line_invalidated(&mut self, core: CoreId, line: LineAddr, _now: Cycle) {
-        if self.tables[core.idx()].release_into(line, &mut self.released_scratch) {
-            self.lc[core.idx()].involuntary += self.released_scratch.len() as u64;
-            for &m in &self.released_scratch {
-                if m != line {
-                    self.deferred_release.push((core, m));
-                }
-            }
-        }
+        self.leases.line_invalidated(core, line);
     }
 }
 
@@ -721,20 +634,11 @@ impl Machine {
         let pre_image = record.then(|| mem.snapshot());
         let mut ms = MachineState {
             queue: ShardedQueue::new(cfg.num_cores),
-            tables: (0..cfg.num_cores)
-                .map(|_| LeaseTable::new(cfg.lease.clone()))
-                .collect(),
-            lc: vec![LeaseCounters::default(); cfg.num_cores],
-            prioritization: cfg.lease.prioritization,
+            leases: LeaseController::new(cfg.num_cores, &cfg.lease),
             trace: TraceRing::new(trace_depth),
             base: 0,
             tile: 0,
             completions: Vec::new(),
-            to_pin: Vec::new(),
-            deferred_release: Vec::new(),
-            released_scratch: Vec::new(),
-            pinned_scratch: Vec::new(),
-            armed_scratch: Vec::new(),
         };
 
         // Setup pushes: same-tile sends at t = 0, before any pop.
@@ -806,13 +710,7 @@ impl Machine {
         stats.app_ops = exit_ops.iter().sum();
         for (tid, c) in stats.cores.iter_mut().enumerate().take(n) {
             c.instructions += exit_inst[tid];
-            let lc = &ms.lc[tid];
-            c.leases_taken += lc.taken;
-            c.releases_voluntary += lc.voluntary;
-            c.releases_involuntary += lc.involuntary;
-            c.lease_overflows += lc.overflow;
-            c.leases_broken_by_priority += lc.broken;
-            c.multileases += lc.multileases;
+            c.merge(ms.leases.counters(CoreId(tid as u16)));
         }
 
         let trace = records.map(|cores| {
@@ -832,12 +730,12 @@ impl Machine {
     }
 }
 
-/// The engine state: protocol, lease tables, event store, simulated
+/// The engine state: protocol, lease controller, event store, simulated
 /// memory, op source, and per-core completion bookkeeping.
 ///
 /// Every event goes through [`EngineCore::apply`], and applying an
 /// event touches only state owned by the event's tile: its engine
-/// slices, its core's lease table/counters/pending slot/op stream.
+/// slices, its core's leases/pending slot/op stream.
 /// Cross-tile effects ride queued messages.
 struct EngineCore<'a> {
     cfg: SystemConfig,
@@ -904,20 +802,10 @@ impl EngineCore<'_> {
                 line,
                 generation,
             } => {
-                if self.ms.tables[core.idx()].on_expiry_into(
-                    line,
-                    generation,
-                    &mut self.scratch.lines,
-                ) {
-                    self.ms.lc[core.idx()].involuntary += self.scratch.lines.len() as u64;
-                    for &l in &self.scratch.lines {
-                        if self.ms.trace.enabled() {
-                            self.ms
-                                .trace
-                                .record(t, TraceEvent::LeaseExpired { core, line: l });
-                        }
-                        self.engine.lease_released(t, core, l, &mut self.ms);
-                    }
+                let out = &mut self.scratch.lines;
+                if self.ms.leases.expire(core, line, generation, out) {
+                    let expired: TraceFn = |core, line| TraceEvent::LeaseExpired { core, line };
+                    self.lease_released(t, core, Some(expired));
                     self.drain(t);
                 }
             }
@@ -967,27 +855,28 @@ impl EngineCore<'_> {
         }
         assert_eq!(self.engine.in_flight(), 0);
         self.engine.check_invariants();
-        Ok(())
+        self.ms.leases.check_quiescent()
     }
 
     /// Drain effects deferred by the `CohContext` during the engine
-    /// calls of the event being applied.
+    /// calls of the event being applied: the lease controller's pins and
+    /// group-mate releases, then the completions.
     ///
     /// The deferred-effect vectors ping-pong with the scratch buffers via
     /// `mem::swap`, so at steady state this allocates nothing: both sides
     /// keep their high-water capacity.
     fn drain(&mut self, t: Cycle) {
-        while !self.ms.to_pin.is_empty() || !self.ms.deferred_release.is_empty() {
-            std::mem::swap(&mut self.ms.to_pin, &mut self.scratch.pins);
-            std::mem::swap(&mut self.ms.deferred_release, &mut self.scratch.rels);
+        while self
+            .ms
+            .leases
+            .take_staged(&mut self.scratch.pins, &mut self.scratch.mates)
+        {
             for &(c, l) in &self.scratch.pins {
                 self.engine.pin(c, l, true);
             }
-            for &(c, l) in &self.scratch.rels {
+            for &(c, l) in &self.scratch.mates {
                 self.engine.lease_released(t, c, l, &mut self.ms);
             }
-            self.scratch.pins.clear();
-            self.scratch.rels.clear();
         }
         if !self.ms.completions.is_empty() {
             std::mem::swap(&mut self.ms.completions, &mut self.scratch.completions);
@@ -1082,10 +971,40 @@ impl EngineCore<'_> {
             .push(tid, t, tid, t + delay, Ev::OpComplete(tid));
     }
 
+    /// Issue core `tid`'s access to `line` at `t`; an L1 hit completes
+    /// it at once. A lease acquisition carries lease intent; every other
+    /// access is a regular request (paper §5).
+    fn access(&mut self, tid: usize, t: Cycle, line: LineAddr, kind: AccessKind, lease: bool) {
+        let core = CoreId(tid as u16);
+        let hit = self
+            .engine
+            .access(t, tid as u64, core, line, kind, lease, !lease, &mut self.ms);
+        if let Some(done) = hit {
+            self.ms.queue.push(tid, t, tid, done, Ev::OpComplete(tid));
+        }
+    }
+
+    /// Complete, in order, the releases of the lines the lease controller
+    /// just left in `scratch.lines`: unpin each and resume the probe
+    /// stalled behind it. `trace` builds the event each release records
+    /// first, if any.
+    fn lease_released(&mut self, t: Cycle, core: CoreId, trace: Option<TraceFn>) {
+        for &line in &self.scratch.lines {
+            if let Some(ev) = trace.filter(|_| self.ms.trace.enabled()) {
+                self.ms.trace.record(t, ev(core, line));
+            }
+            self.engine.lease_released(t, core, line, &mut self.ms);
+        }
+    }
+
     /// Begin executing one instruction at its issue time `t`.
     fn start_op(&mut self, tid: usize, t: Cycle, op: Op) {
         let core = CoreId(tid as u16);
-        let token = tid as u64;
+        let voluntary: TraceFn = |core, line| TraceEvent::LeaseReleased {
+            core,
+            line,
+            voluntary: true,
+        };
         match op {
             Op::Read(a)
             | Op::Write(a, _)
@@ -1097,135 +1016,47 @@ impl EngineCore<'_> {
                     Op::Write(..) => AccessKind::Store,
                     _ => AccessKind::Rmw,
                 };
-                let hit =
-                    self.engine
-                        .access(t, token, core, a.line(), kind, false, true, &mut self.ms);
-                if let Some(done) = hit {
-                    self.ms.queue.push(tid, t, tid, done, Ev::OpComplete(tid));
-                }
+                self.access(tid, t, a.line(), kind, false);
                 self.pending[tid] = Some(Pending::Data { op, issued: t });
-                self.drain(t);
             }
             Op::Lease { addr, time } => {
-                let line = addr.line();
-                match self.ms.tables[tid].begin_lease(line, time) {
-                    BeginLease::AlreadyLeased => {
-                        self.imm(tid, t, 0, false, 1);
-                    }
-                    BeginLease::Inserted { displaced } => {
-                        for d in displaced {
-                            self.ms.lc[tid].overflow += 1;
-                            self.engine.lease_released(t, core, d, &mut self.ms);
-                        }
-                        self.ms.lc[tid].taken += 1;
-                        let hit = self.engine.access(
-                            t,
-                            token,
-                            core,
-                            line,
-                            AccessKind::Rmw,
-                            true,
-                            false,
-                            &mut self.ms,
-                        );
-                        if let Some(done) = hit {
-                            self.ms.queue.push(tid, t, tid, done, Ev::OpComplete(tid));
-                        }
-                        self.pending[tid] = Some(Pending::LeaseAcq { issued: t });
-                    }
+                let (line, out) = (addr.line(), &mut self.scratch.lines);
+                if self.ms.leases.lease(core, line, time, out) {
+                    self.lease_released(t, core, None);
+                    self.access(tid, t, line, AccessKind::Rmw, true);
+                    self.pending[tid] = Some(Pending::Lease { issued: t });
+                } else {
+                    self.imm(tid, t, 0, false, 1);
                 }
-                self.drain(t);
-            }
-            Op::Release { addr } => {
-                let line = addr.line();
-                let flag = self.ms.tables[tid].release_into(line, &mut self.scratch.lines);
-                self.ms.lc[tid].voluntary += self.scratch.lines.len() as u64;
-                for &l in &self.scratch.lines {
-                    if self.ms.trace.enabled() {
-                        self.ms.trace.record(
-                            t,
-                            TraceEvent::LeaseReleased {
-                                core,
-                                line: l,
-                                voluntary: true,
-                            },
-                        );
-                    }
-                    self.engine.lease_released(t, core, l, &mut self.ms);
-                }
-                self.imm(tid, t, 0, flag, 1);
-                self.drain(t);
             }
             Op::MultiLease { addrs, time } => {
-                let lines: Vec<LineAddr> = addrs.iter().map(|a| a.line()).collect();
-                match self.ms.tables[tid].begin_multilease(&lines, time) {
-                    MultiLeaseBegin::Rejected { released } => {
-                        self.ms.lc[tid].voluntary += released.len() as u64;
-                        for l in released {
-                            self.engine.lease_released(t, core, l, &mut self.ms);
-                        }
-                        self.imm(tid, t, 0, false, 1);
+                let (lines, out) = (addrs.iter().map(|a| a.line()), &mut self.scratch.lines);
+                let admitted = self.ms.leases.multi_lease(core, lines, time, out);
+                self.lease_released(t, core, None);
+                match self.ms.leases.next_group_line(core) {
+                    Some(first) => {
+                        self.access(tid, t, first, AccessKind::Rmw, true);
+                        self.pending[tid] = Some(Pending::Lease { issued: t });
                     }
-                    MultiLeaseBegin::Admitted {
-                        released,
-                        sorted_lines,
-                    } => {
-                        self.ms.lc[tid].voluntary += released.len() as u64;
-                        for l in released {
-                            self.engine.lease_released(t, core, l, &mut self.ms);
-                        }
-                        if sorted_lines.is_empty() {
-                            self.imm(tid, t, 0, true, 1);
-                        } else {
-                            self.ms.lc[tid].multileases += 1;
-                            self.ms.lc[tid].taken += sorted_lines.len() as u64;
-                            let first = sorted_lines[0];
-                            let hit = self.engine.access(
-                                t,
-                                token,
-                                core,
-                                first,
-                                AccessKind::Rmw,
-                                true,
-                                false,
-                                &mut self.ms,
-                            );
-                            if let Some(done) = hit {
-                                self.ms.queue.push(tid, t, tid, done, Ev::OpComplete(tid));
-                            }
-                            self.pending[tid] = Some(Pending::Multi {
-                                lines: sorted_lines,
-                                idx: 0,
-                                issued: t,
-                            });
-                        }
-                    }
+                    None => self.imm(tid, t, 0, admitted, 1),
                 }
-                self.drain(t);
+            }
+            Op::Release { addr } => {
+                let out = &mut self.scratch.lines;
+                let held = self.ms.leases.release(core, addr.line(), out);
+                self.lease_released(t, core, Some(voluntary));
+                self.imm(tid, t, 0, held, 1);
             }
             Op::ReleaseAll => {
-                self.ms.tables[tid].release_all_into(&mut self.scratch.lines);
-                self.ms.lc[tid].voluntary += self.scratch.lines.len() as u64;
-                for &l in &self.scratch.lines {
-                    if self.ms.trace.enabled() {
-                        self.ms.trace.record(
-                            t,
-                            TraceEvent::LeaseReleased {
-                                core,
-                                line: l,
-                                voluntary: true,
-                            },
-                        );
-                    }
-                    self.engine.lease_released(t, core, l, &mut self.ms);
-                }
+                self.ms.leases.release_all(core, &mut self.scratch.lines);
+                self.lease_released(t, core, Some(voluntary));
                 self.imm(tid, t, 0, true, 1);
-                self.drain(t);
             }
             Op::Malloc { size, align } => self.heap_request(tid, t, HeapOp::Malloc { size, align }),
             Op::Free(a) => self.heap_request(tid, t, HeapOp::Free(a)),
             Op::Exit { .. } | Op::Barrier => unreachable!("{op:?} handled in await_request"),
         }
+        self.drain(t);
     }
 
     /// Send a heap op to the allocator home tile. The heap allocator is
@@ -1294,28 +1125,10 @@ impl EngineCore<'_> {
                 };
                 (value, flag, issued)
             }
-            Pending::LeaseAcq { issued } => (0, true, issued),
-            Pending::Multi { lines, idx, issued } => {
-                if idx + 1 < lines.len() {
-                    // Acquire the next line of the group, in order.
-                    let hit = self.engine.access(
-                        t,
-                        tid as u64,
-                        core,
-                        lines[idx + 1],
-                        AccessKind::Rmw,
-                        true,
-                        false,
-                        &mut self.ms,
-                    );
-                    if let Some(done) = hit {
-                        self.ms.queue.push(tid, t, tid, done, Ev::OpComplete(tid));
-                    }
-                    self.pending[tid] = Some(Pending::Multi {
-                        lines,
-                        idx: idx + 1,
-                        issued,
-                    });
+            Pending::Lease { issued } => {
+                if let Some(next) = self.ms.leases.next_group_line(core) {
+                    self.access(tid, t, next, AccessKind::Rmw, true);
+                    self.pending[tid] = Some(Pending::Lease { issued });
                     self.drain(t);
                     return Ok(());
                 }
@@ -1397,10 +1210,7 @@ fn render_failure_report(
         s.push_str(&dump);
     }
     let _ = writeln!(s, "-- lease tables --");
-    for (i, tbl) in ms.tables.iter().enumerate() {
-        let _ = writeln!(s, " core{i}:");
-        s.push_str(&tbl.debug_dump());
-    }
+    s.push_str(&ms.leases.debug_dump());
     let _ = writeln!(s, "-- pending ops --");
     let mut any = false;
     for (tid, p) in pending.iter().enumerate() {

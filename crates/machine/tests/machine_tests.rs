@@ -262,6 +262,36 @@ fn multi_lease_over_capacity_is_rejected() {
 }
 
 #[test]
+fn pinned_victim_counts_every_line_of_its_group() {
+    // A 1 KiB one-way L1 has 16 sets, so lines 16 apart share one way.
+    // Filling the group's second line finds its first line pinned there:
+    // that lease ends as an overflow and takes its group-mate with it.
+    let mut config = cfg(2);
+    config.l1_kib = 1;
+    config.l1_ways = 1;
+    let mut m = Machine::new(config);
+    let (a, b) = m.setup(|mem| {
+        let base = mem.alloc_line_aligned(17 * lr_sim_core::LINE_SIZE);
+        (base, Addr(base.0 + 16 * lr_sim_core::LINE_SIZE))
+    });
+    let stats = m.run(vec![Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
+        ctx.multi_lease(&[a, b], ctx.max_lease_time());
+        ctx.release_all();
+    }) as ThreadFn]);
+    let c = &stats.cores[0];
+    assert_eq!(c.leases_taken, 2);
+    assert_eq!(c.lease_overflows, 2, "both group lines ended by the fill");
+    assert_eq!(
+        c.leases_taken,
+        c.releases_voluntary
+            + c.releases_involuntary
+            + c.lease_overflows
+            + c.leases_broken_by_priority,
+        "every lease taken ends exactly once"
+    );
+}
+
+#[test]
 fn software_multi_lease_works() {
     let n = 4;
     let per = 15u64;

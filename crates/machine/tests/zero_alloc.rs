@@ -1,7 +1,7 @@
 //! Steady-state allocation audit: once a simulation is warmed up (lines
 //! resident, scratch buffers at their high-water capacity), the engine
-//! loop must retire Read/Write/CAS/FAA instructions without touching
-//! the heap. Guarded by comparing the *process-wide* allocation count
+//! loop must retire Read/Write/CAS/FAA and lease instructions without
+//! touching the heap. Guarded by comparing the *process-wide* allocation count
 //! of a short run against a run 8x longer over the same working set:
 //! the extra instructions must add exactly zero allocations.
 //!
@@ -34,8 +34,10 @@ unsafe impl GlobalAlloc for Counting {
 static A: Counting = Counting;
 
 /// One fixed-shape run: a single worker mixing every fast-path
-/// instruction over two private lines. Returns the allocations the
-/// whole run performed (machine construction through join).
+/// instruction over two private lines. The leases are short, so the
+/// number of expiries pending at once (and the event store) stays
+/// bounded. Returns the allocations the whole run performed (machine
+/// construction through join).
 fn allocs_for(ops: u64) -> u64 {
     let mut m = Machine::new(SystemConfig::with_cores(2));
     let (a, b) = m.setup(|mem| (mem.alloc_line_aligned(8), mem.alloc_line_aligned(8)));
@@ -45,6 +47,10 @@ fn allocs_for(ops: u64) -> u64 {
             ctx.write(b, i);
             ctx.read(b);
             ctx.cas(a, i + 1, i + 1);
+            ctx.lease(a, 100);
+            ctx.release(a);
+            ctx.multi_lease(&[a, b], 100);
+            ctx.release_all();
             ctx.count_op();
         }
     })];
@@ -62,7 +68,7 @@ fn hot_loop_makes_no_steady_state_allocations() {
     let long = allocs_for(512 * 8);
     assert_eq!(
         long, short,
-        "engine loop allocated on the Read/Write/CAS/FAA fast path: \
-         {short} allocs for 512 ops vs {long} for 4096"
+        "engine loop allocated on the Read/Write/CAS/FAA/lease fast path: \
+         {short} allocs for 512 loop iterations vs {long} for 4096"
     );
 }

@@ -23,6 +23,8 @@
 //! behavioural change in the protocol stack, which makes recorded
 //! traces compact cross-version regression oracles.
 
+#![forbid(unsafe_code)]
+
 use lr_machine::{
     Cycle, LineAddr, Machine, MachineStats, Op, OpSource, Reply, Request, SystemConfig,
 };

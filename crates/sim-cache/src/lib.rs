@@ -12,6 +12,8 @@
 //! resident: "the lease table mirrors the load buffer", i.e. a leased line
 //! cannot be chosen as an eviction victim.
 
+#![forbid(unsafe_code)]
+
 use lr_sim_core::LineAddr;
 
 /// One resident line.

@@ -7,6 +7,8 @@
 //! Everything in the simulator is measured in *core cycles* of a 1 GHz
 //! in-order core ([`Cycle`]); cache lines are 64 bytes ([`LINE_SIZE`]).
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod event;
 pub mod rng;

@@ -21,6 +21,8 @@
 //! inter-socket link costs `socket_flit_hop_nj` (see
 //! `lr_sim_core::EnergyModel`).
 
+#![forbid(unsafe_code)]
+
 use lr_sim_core::{CoreId, Cycle, SystemConfig};
 
 /// Coherence message class, which determines the flit count.

@@ -21,6 +21,8 @@
 //! * [`Tl2Variant::SwMultiLease`] — the software emulation (staggered
 //!   single leases).
 
+#![forbid(unsafe_code)]
+
 use lr_machine::ThreadCtx;
 use lr_sim_core::Addr;
 use lr_sim_mem::SimMemory;

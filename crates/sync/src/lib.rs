@@ -5,6 +5,8 @@
 //! locks (MCS/CLH/flat-combining/CCSynch, [`dlock`]) — the modern
 //! competitors the `lock_showdown` scenario pits against lease/release.
 
+#![forbid(unsafe_code)]
+
 pub mod backoff;
 pub mod clh;
 pub mod dlock;
