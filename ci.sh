@@ -37,6 +37,10 @@ cargo fmt --all --check
 step "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+step "cargo doc (deny warnings)"
+# Broken or private intra-doc links fail here rather than rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 step "tier-1 verify: release build + tests"
 cargo build --release --offline
 cargo test -q --offline

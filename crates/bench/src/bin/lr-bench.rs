@@ -8,9 +8,8 @@
 //! lr-bench --smoke --jobs 2          # tiny ops, every scenario
 //! ```
 
-use lr_bench::{
-    build_plan, default_jobs, registry, run, JsonPolicy, PlanOpts, Scenario, ScenarioKind,
-};
+use lr_bench::{build_plan, default_jobs, registry, run, JsonPolicy, PlanOpts, Scenario};
+use lr_sim_core::MAX_CORES;
 
 const USAGE: &str = "\
 lr-bench — declarative sweep driver for every paper figure/table
@@ -22,15 +21,13 @@ OPTIONS:
     --list               List registered scenarios and exit
     --scenario A,B,...   Run only the named scenarios (default: all)
     --series SUBSTR      Run only series whose name contains SUBSTR
-    --threads T1,T2,...  Thread counts (default: 1,2,4,...,64)
+    --threads T1,T2,...  Thread counts, each 1 to 1024 (default: 1,2,4,...,64)
     --ops N              Per-thread operations for every scenario
                          (default: per scenario)
-    --jobs N             Parallel workers for sim cells (default and cap:
-                         host cores; output is identical for any N)
+    --jobs N             Parallel workers (default and cap: host cores;
+                         output is identical for any N)
     --smoke              Tiny ops, 2-thread cells: every selected
                          scenario in seconds
-    --kind sim|host      Keep one measurement kind: sim = deterministic
-                         simulations, host = the wall-clock native bench
     --record DIR         Record every simulation as a trace file in DIR
                          (verify them with `lr-replay DIR`)
     -h, --help           This help
@@ -40,7 +37,7 @@ ENVIRONMENT:
     LR_NO_JSON=1    disable the JSON export
 ";
 
-/// Per-thread ops for `--smoke`: small enough that all 17 scenarios
+/// Per-thread ops for `--smoke`: small enough that all 16 scenarios
 /// finish in seconds, large enough that every metric is exercised.
 const SMOKE_OPS: u64 = 8;
 
@@ -50,30 +47,30 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_list(arg: &str, what: &str) -> Vec<usize> {
+/// The `--threads` axis. Every count must fit one simulated machine
+/// (1 to `MAX_CORES` cores), so a bad value is a usage error here
+/// rather than a panic inside a running cell.
+fn parse_threads(arg: &str) -> Vec<usize> {
     arg.split(',')
-        .map(|p| {
-            p.trim()
-                .parse::<usize>()
-                .unwrap_or_else(|_| fail(&format!("bad {what} value {p:?}")))
+        .map(|p| match p.trim().parse::<usize>() {
+            Ok(t) if (1..=MAX_CORES).contains(&t) => t,
+            _ => fail(&format!(
+                "bad --threads value {p:?} (each count must be 1 to {MAX_CORES})"
+            )),
         })
         .collect()
 }
 
 fn list_scenarios() {
     println!(
-        "{:<22} {:<16} {:<5} {:>6} {:>8}  series",
-        "name", "paper", "kind", "series", "def.ops"
+        "{:<22} {:<16} {:>6} {:>8}  series",
+        "name", "paper", "series", "def.ops"
     );
     for s in registry() {
         println!(
-            "{:<22} {:<16} {:<5} {:>6} {:>8}  {}",
+            "{:<22} {:<16} {:>6} {:>8}  {}",
             s.name,
             s.paper_ref,
-            match s.kind {
-                ScenarioKind::Sim => "sim",
-                ScenarioKind::Host => "host",
-            },
             s.series.len(),
             s.default_ops,
             s.series.join(",")
@@ -89,7 +86,6 @@ fn main() {
     let mut ops: Option<u64> = None;
     let mut jobs: Option<usize> = None;
     let mut smoke = false;
-    let mut kind_filter: Option<ScenarioKind> = None;
     let mut record_dir: Option<String> = None;
 
     let mut it = args.iter();
@@ -112,7 +108,7 @@ fn main() {
                 scenario_filter = Some(value("--scenario").split(',').map(str::to_string).collect())
             }
             "--series" => series_filter = Some(value("--series")),
-            "--threads" => threads = Some(parse_list(&value("--threads"), "--threads")),
+            "--threads" => threads = Some(parse_threads(&value("--threads"))),
             "--ops" => {
                 ops = Some(
                     value("--ops")
@@ -129,13 +125,6 @@ fn main() {
             }
             "--smoke" => smoke = true,
             "--record" => record_dir = Some(value("--record")),
-            "--kind" => {
-                kind_filter = Some(match value("--kind").as_str() {
-                    "sim" => ScenarioKind::Sim,
-                    "host" => ScenarioKind::Host,
-                    other => fail(&format!("bad --kind value {other:?} (use sim or host)")),
-                })
-            }
             other => fail(&format!("unknown argument {other:?}")),
         }
     }
@@ -152,11 +141,11 @@ fn main() {
         });
     }
 
-    let mut selected: Vec<&'static Scenario> = match &scenario_filter {
+    let selected: Vec<&'static Scenario> = match &scenario_filter {
         None => registry().to_vec(),
         Some(names) => {
             // Preserve registry (canonical) order regardless of the
-            // order names were given in; host scenarios must stay last.
+            // order names were given in.
             for n in names {
                 if !registry().iter().any(|s| s.name == n.as_str()) {
                     let known: Vec<_> = registry().iter().map(|s| s.name).collect();
@@ -173,10 +162,6 @@ fn main() {
                 .collect()
         }
     };
-
-    if let Some(k) = kind_filter {
-        selected.retain(|s| s.kind == k);
-    }
 
     if smoke {
         ops.get_or_insert(SMOKE_OPS);

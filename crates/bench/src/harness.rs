@@ -53,22 +53,6 @@ impl BenchRow {
         }
     }
 
-    /// A row carrying only a host-side throughput measurement (the
-    /// native validation scenario): every simulator-derived metric is
-    /// zero and no raw stats are attached.
-    pub fn host_only(series: &str, threads: usize, mops: f64) -> Self {
-        BenchRow {
-            series: series.to_string(),
-            threads,
-            mops,
-            nj_per_op: 0.0,
-            misses_per_op: 0.0,
-            msgs_per_op: 0.0,
-            cas_fail_ratio: 0.0,
-            stats_json: String::new(),
-        }
-    }
-
     /// Render this row as a JSON object (derived metrics + raw stats).
     pub(crate) fn to_json(&self) -> String {
         format!(
@@ -84,11 +68,7 @@ impl BenchRow {
             self.misses_per_op,
             self.msgs_per_op,
             self.cas_fail_ratio,
-            if self.stats_json.is_empty() {
-                "null"
-            } else {
-                self.stats_json.as_str()
-            },
+            self.stats_json,
         )
     }
 }
@@ -187,13 +167,5 @@ mod tests {
         assert_eq!(threads_sweep(5), vec![1, 2, 4]);
         assert_eq!(threads_sweep(1), vec![1]);
         assert_eq!(threads_sweep(0), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn host_only_row_has_finite_zero_metrics() {
-        let r = BenchRow::host_only("native-stack", 4, 12.5);
-        assert_eq!(r.mops, 12.5);
-        assert_eq!(r.nj_per_op, 0.0);
-        assert!(r.to_json().contains("\"stats\":null"));
     }
 }

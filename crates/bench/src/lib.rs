@@ -21,6 +21,6 @@ pub mod sweep;
 
 pub use harness::{threads_sweep, BenchRow};
 pub use report::{JsonPolicy, Report};
-pub use scenario::{CellCtx, CellOut, RecordTo, Scenario, ScenarioKind};
+pub use scenario::{CellCtx, CellOut, RecordTo, Scenario};
 pub use scenarios::{find, registry};
 pub use sweep::{build_plan, clamp_jobs, default_jobs, run, Plan, PlanOpts};

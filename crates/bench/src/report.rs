@@ -264,7 +264,7 @@ mod tests {
             misses_per_op: 2.0,
             msgs_per_op: 9.0,
             cas_fail_ratio: 0.25,
-            stats_json: String::new(),
+            stats_json: "{}".to_string(),
         }
     }
 

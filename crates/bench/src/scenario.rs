@@ -15,20 +15,6 @@ use crate::harness::BenchRow;
 use lr_machine::Machine;
 use std::path::PathBuf;
 
-/// How a scenario's cells measure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScenarioKind {
-    /// Deterministic simulator run: cells may execute on parallel
-    /// workers and are byte-reproducible across runs and job counts.
-    Sim,
-    /// Host wall-clock measurement (the native validation bench): cells
-    /// run serially on the main thread, after all sim cells, so
-    /// concurrent sim workers don't perturb the timing. The thread axis
-    /// is capped at the host's core count (beyond it the native code
-    /// only oversubscribes).
-    Host,
-}
-
 /// Where a cell's simulations dump their traces: a directory plus the
 /// cell's canonical label (`scenario.series.tN`), which the machine
 /// layer turns into a collision-free filename.
@@ -102,11 +88,8 @@ pub struct Scenario {
     pub paper_ref: &'static str,
     /// Series (variant) names, in canonical emission order.
     pub series: &'static [&'static str],
-    /// Default per-thread operation count (for Pagerank: node count;
-    /// for the native validation: total host ops per thread).
+    /// Default per-thread operation count (for Pagerank: node count).
     pub default_ops: u64,
-    /// Sim (parallelizable, deterministic) or Host (wall-clock).
-    pub kind: ScenarioKind,
     /// Run one grid cell. Must be pure up to the deterministic
     /// simulator seed (recording, when requested via the context, only
     /// adds trace files — never changes the measured row).

@@ -6,7 +6,7 @@
 //! threads grow while the base variant collapses (up to ~5–7x gap).
 
 use super::common::stack_cell;
-use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_ds::StackVariant;
 
 pub static SCENARIO: Scenario = Scenario {
@@ -15,7 +15,6 @@ pub static SCENARIO: Scenario = Scenario {
     paper_ref: "Figure 2",
     series: &["treiber-base", "treiber-lease"],
     default_ops: 200,
-    kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,
     footer: None,

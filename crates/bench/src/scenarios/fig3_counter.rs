@@ -6,7 +6,7 @@
 //! the leased lock at 64 threads.
 
 use crate::harness::BenchRow;
-use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_apps::{CounterBench, CounterLockKind};
 use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
 
@@ -21,7 +21,6 @@ pub static SCENARIO: Scenario = Scenario {
         "counter-clh",
     ],
     default_ops: 60,
-    kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,
     footer: None,

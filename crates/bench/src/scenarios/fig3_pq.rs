@@ -8,7 +8,7 @@
 //! after pre-filling the queue.
 
 use crate::harness::BenchRow;
-use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_ds::PriorityQueue;
 use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_mem::SimMemory;
@@ -28,7 +28,6 @@ pub static SCENARIO: Scenario = Scenario {
         "pq-global-lock-lease",
     ],
     default_ops: 30,
-    kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,
     footer: None,

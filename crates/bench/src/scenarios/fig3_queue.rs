@@ -5,7 +5,7 @@
 //! predecessor lease.
 
 use super::common::queue_cell;
-use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_ds::QueueVariant;
 
 pub static SCENARIO: Scenario = Scenario {
@@ -14,7 +14,6 @@ pub static SCENARIO: Scenario = Scenario {
     paper_ref: "Figure 3",
     series: &["msqueue-base", "msqueue-lease", "msqueue-multilease"],
     default_ops: 150,
-    kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,
     footer: None,

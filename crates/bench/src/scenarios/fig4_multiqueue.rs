@@ -1,10 +1,10 @@
-//! Figure 4 (left pair): MultiQueues [36] with eight queues — threads
+//! Figure 4 (left pair): MultiQueues \[36\] with eight queues — threads
 //! alternate insert and deleteMin (Algorithm 4). The paper reports ~50%
 //! improvement from leases/MultiLeases (bounded by the long sequential
 //! critical sections).
 
 use crate::harness::BenchRow;
-use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_ds::{MqVariant, MultiQueue};
 use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
 
@@ -17,7 +17,6 @@ pub static SCENARIO: Scenario = Scenario {
     paper_ref: "Figure 4",
     series: &["multiqueue-base", "multiqueue-lease"],
     default_ops: 40,
-    kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,
     footer: None,

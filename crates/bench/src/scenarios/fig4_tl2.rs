@@ -5,7 +5,7 @@
 //! collapses) and a moderate gain from leasing only the first lock.
 
 use super::common::tl2_cell;
-use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_stm::Tl2Variant;
 
 pub static SCENARIO: Scenario = Scenario {
@@ -14,7 +14,6 @@ pub static SCENARIO: Scenario = Scenario {
     paper_ref: "Figure 4",
     series: &["tl2-base", "tl2-single-lease", "tl2-hw-multilease"],
     default_ops: 120,
-    kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,
     footer: None,

@@ -1,11 +1,11 @@
-//! Figure 5 (right): the lock-based Pagerank of CRONO [2]. Around 25% of
+//! Figure 5 (right): the lock-based Pagerank of CRONO \[2\]. Around 25% of
 //! pages are dangling ("inaccessible"), and their rank mass is folded
 //! into one shared cell under a contended lock. The paper reports 8x
 //! throughput at 32 threads from leasing that lock, letting the
 //! application scale.
 
 use crate::harness::BenchRow;
-use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_apps::{Graph, Pagerank, PagerankVariant, SCALE};
 use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
 use std::sync::Arc;
@@ -17,7 +17,6 @@ pub static SCENARIO: Scenario = Scenario {
     series: &["pagerank-tts-base", "pagerank-lease"],
     // The ops knob doubles as the graph node count for this scenario.
     default_ops: 300,
-    kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,
     footer: None,

@@ -4,7 +4,7 @@
 //! joint holding not guaranteed).
 
 use super::common::tl2_cell;
-use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_stm::Tl2Variant;
 
 pub static SCENARIO: Scenario = Scenario {
@@ -13,7 +13,6 @@ pub static SCENARIO: Scenario = Scenario {
     paper_ref: "Figure 5",
     series: &["tl2-hw-multilease", "tl2-sw-multilease"],
     default_ops: 120,
-    kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,
     footer: None,

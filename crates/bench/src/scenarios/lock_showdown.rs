@@ -26,7 +26,7 @@
 //! the final depth must balance the push/pop/empty ledger.
 
 use crate::harness::BenchRow;
-use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_ds::{DelegatedStack, StackApply, STACK_EMPTY, STACK_PUSH};
 use lr_machine::{Machine, MachineStats, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::Addr;
@@ -48,7 +48,6 @@ pub static SCENARIO: Scenario = Scenario {
         "ccsynch",
     ],
     default_ops: 256,
-    kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,
     footer: Some(

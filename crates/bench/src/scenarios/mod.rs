@@ -2,10 +2,9 @@
 //! [`Scenario`] entry, one module per paper experiment. `lr-bench
 //! --scenario <name>` runs one and writes its `BENCH_*.json`.
 //!
-//! Registry order is canonical output order. [`ScenarioKind::Host`]
-//! entries must come last: the sweep driver dispatches sim cells to
-//! parallel workers and then runs host (wall-clock) cells serially, and
-//! the streaming merge emits strictly in registry order.
+//! Registry order is canonical output order: the sweep driver runs
+//! cells on parallel workers and the streaming merge emits them
+//! strictly in registry order.
 
 use crate::scenario::Scenario;
 
@@ -27,12 +26,11 @@ pub mod tab_lease_sensitivity;
 pub mod tab_low_contention;
 pub mod tab_mesi;
 pub mod tab_msg_constancy;
-pub mod validation_native;
 
-/// All 17 scenarios (15 paper experiments, the delegation-lock
+/// All 16 scenarios (14 paper experiments, the delegation-lock
 /// showdown and the NUMA serving comparison), in canonical (figure,
-/// table, validation) order; the host-measured native validation last.
-static REGISTRY: [&Scenario; 17] = [
+/// then table) order.
+static REGISTRY: [&Scenario; 16] = [
     &fig2_stack::SCENARIO,
     &fig3_counter::SCENARIO,
     &fig3_queue::SCENARIO,
@@ -49,7 +47,6 @@ static REGISTRY: [&Scenario; 17] = [
     &tab_adaptive::SCENARIO,
     &lock_showdown::SCENARIO,
     &numa_serving::SCENARIO,
-    &validation_native::SCENARIO,
 ];
 
 /// Every registered scenario, in canonical order.
@@ -65,7 +62,6 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioKind;
 
     #[test]
     fn registry_names_are_unique_and_lookup_works() {
@@ -75,20 +71,6 @@ mod tests {
         assert_eq!(names.len(), registry().len(), "duplicate scenario names");
         assert_eq!(find("fig2_stack").unwrap().series.len(), 2);
         assert!(find("nope").is_none());
-    }
-
-    #[test]
-    fn host_scenarios_come_after_all_sim_scenarios() {
-        let first_host = registry()
-            .iter()
-            .position(|s| s.kind != ScenarioKind::Sim)
-            .unwrap_or(registry().len());
-        assert!(
-            registry()[first_host..]
-                .iter()
-                .all(|s| s.kind != ScenarioKind::Sim),
-            "sim scenario after a host scenario breaks the sweep merge"
-        );
     }
 
     #[test]

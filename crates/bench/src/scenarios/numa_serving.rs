@@ -35,7 +35,7 @@
 //! sizes cost a 1024-core engine about 3 MiB.
 
 use crate::harness::BenchRow;
-use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_ds::{ReplicatedKv, KV_MISS};
 use lr_machine::{Addr, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::{SplitMix64, Zipf};
@@ -48,7 +48,6 @@ pub static SCENARIO: Scenario = Scenario {
         "msi.s1", "msi.s2", "msi.s4", "lease.s1", "lease.s2", "lease.s4", "nr.s1", "nr.s2", "nr.s4",
     ],
     default_ops: 48,
-    kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,
     footer: Some(

@@ -9,7 +9,7 @@
 //! suppresses it, recovering baseline behaviour.
 
 use crate::harness::BenchRow;
-use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_lease::AdaptiveLease;
 use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::Cycle;
@@ -37,7 +37,6 @@ pub static SCENARIO: Scenario = Scenario {
         "rmw-adaptive-60",
     ],
     default_ops: 120,
-    kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,
     footer: None,

@@ -6,7 +6,7 @@
 //! requests allowed to break them.
 
 use super::common::stack_cell;
-use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_ds::StackVariant;
 
 pub static SCENARIO: Scenario = Scenario {
@@ -20,7 +20,6 @@ pub static SCENARIO: Scenario = Scenario {
         "treiber-lease-prio",
     ],
     default_ops: 80,
-    kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,
     footer: None,

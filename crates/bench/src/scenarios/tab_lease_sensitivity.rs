@@ -7,7 +7,7 @@
 //!   single-lease workloads.
 
 use super::common::{queue_cell, stack_cell};
-use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_ds::{QueueVariant, StackVariant};
 use lr_sim_core::Cycle;
 
@@ -24,7 +24,6 @@ pub static SCENARIO: Scenario = Scenario {
         "queue-lease-single-entry",
     ],
     default_ops: 80,
-    kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,
     footer: None,

@@ -4,7 +4,7 @@
 //! ≤ 5% at ≥ 32 threads.
 
 use crate::harness::BenchRow;
-use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_ds::{Bst, HarrisList, HashTable, LockingSkipList};
 use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
 
@@ -25,7 +25,6 @@ pub static SCENARIO: Scenario = Scenario {
         "skiplist-set-base",
     ],
     default_ops: 40,
-    kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,
     footer: None,

@@ -5,7 +5,7 @@
 //! MESI saves the upgrade transaction in read-then-write patterns.
 
 use super::common::stack_cell;
-use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_ds::StackVariant;
 use lr_sim_core::CoherenceProtocol;
 
@@ -20,7 +20,6 @@ pub static SCENARIO: Scenario = Scenario {
         "stack-lease-mesi",
     ],
     default_ops: 120,
-    kind: ScenarioKind::Sim,
     run_cell,
     annotate: None,
     footer: None,

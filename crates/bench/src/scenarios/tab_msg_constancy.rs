@@ -11,7 +11,7 @@
 
 use super::common::stack_cell;
 use crate::harness::BenchRow;
-use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_ds::StackVariant;
 use lr_sim_core::Cycle;
 
@@ -21,7 +21,6 @@ pub static SCENARIO: Scenario = Scenario {
     paper_ref: "§7",
     series: &["stack-base", "stack-lease-20k", "stack-lease-1k"],
     default_ops: 120,
-    kind: ScenarioKind::Sim,
     run_cell,
     annotate: Some(growth_lines),
     footer: None,

@@ -1,17 +1,13 @@
 //! The deterministic sweep driver: expands scenarios into a flat list
-//! of independent (series × threads) grid cells, executes sim cells
-//! across parallel host workers, and merges rows back in canonical
-//! order — the output stream is byte-identical to a serial run
-//! (`--jobs 1`), because every cell is a deterministic simulation and
-//! emission order is fixed by the plan, not by completion order.
-//!
-//! Host (wall-clock) cells run serially on the calling thread after all
-//! sim cells, so worker contention never perturbs native timing; the
-//! registry keeps host scenarios last so the merge stays in order.
+//! of independent (series × threads) grid cells, executes them across
+//! parallel host workers, and merges rows back in canonical order — the
+//! output stream is byte-identical to a serial run (`--jobs 1`),
+//! because every cell is a deterministic simulation and emission order
+//! is fixed by the plan, not by completion order.
 
 use crate::harness::{threads_sweep, BenchRow};
 use crate::report::{JsonPolicy, Report};
-use crate::scenario::{CellCtx, CellOut, RecordTo, Scenario, ScenarioKind};
+use crate::scenario::{CellCtx, CellOut, RecordTo, Scenario};
 use crate::scenarios;
 use lr_sim_core::SystemConfig;
 use std::io::Write;
@@ -50,7 +46,7 @@ pub struct PlanOpts {
     /// Per-thread operation-count override (`--ops` / smoke mode);
     /// takes precedence over each scenario's default.
     pub ops: Option<u64>,
-    /// Worker thread count for sim cells.
+    /// Worker thread count.
     pub jobs: usize,
     pub json: JsonPolicy,
     /// Trace-record directory (`--record DIR`). Threaded through the
@@ -80,7 +76,7 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Cap the sim-cell worker count at host parallelism (at least 1):
+/// Cap the worker count at host parallelism (at least 1):
 /// every cell's engine runs on its worker's thread, so more workers
 /// than host cores only oversubscribe. Pure — the caller supplies the
 /// host parallelism.
@@ -97,18 +93,10 @@ fn resolve_ops(sc: &Scenario, over: Option<u64>) -> u64 {
 /// Expand `opts` into the canonical cell list: scenario-major (registry
 /// order), series-major within a scenario, threads ascending.
 pub fn build_plan(opts: &PlanOpts) -> Plan {
-    let host_cap = default_jobs();
+    let axis = opts.threads.clone().unwrap_or_else(|| threads_sweep(64));
     let mut cells = Vec::new();
     for sc in &opts.scenarios {
         let ops = resolve_ops(sc, opts.ops);
-        let mut axis = opts.threads.clone().unwrap_or_else(|| threads_sweep(64));
-        if sc.kind == ScenarioKind::Host {
-            // Wall-clock cells beyond the host's cores only oversubscribe.
-            axis.retain(|&t| t <= host_cap);
-            if axis.is_empty() {
-                axis.push(1);
-            }
-        }
         for (series, name) in sc.series.iter().enumerate() {
             if let Some(f) = &opts.series_filter {
                 if !name.contains(f.as_str()) {
@@ -125,12 +113,7 @@ pub fn build_plan(opts: &PlanOpts) -> Plan {
             }
         }
     }
-    // Sim cells form a prefix (registry keeps host scenarios last);
-    // the executor depends on that.
-    debug_assert!(cells
-        .windows(2)
-        .all(|w| !(w[0].scenario.kind != ScenarioKind::Sim
-            && w[1].scenario.kind == ScenarioKind::Sim)));
+    let host_cap = default_jobs();
     let jobs = clamp_jobs(opts.jobs.max(1), host_cap);
     if jobs < opts.jobs.max(1) {
         eprintln!(
@@ -261,23 +244,19 @@ impl<'a> Emitter<'a> {
     }
 }
 
-/// Execute the plan: sim cells on `plan.jobs` worker threads (merged in
-/// canonical order as they complete), then host cells serially.
+/// Execute the plan on `plan.jobs` worker threads, merging rows in
+/// canonical order as cells complete.
 pub fn run(plan: &Plan, out: &mut (dyn Write + Send)) {
-    let sim_cells = plan
-        .cells
-        .iter()
-        .take_while(|c| c.scenario.kind == ScenarioKind::Sim)
-        .count();
+    let cells = plan.cells.len();
     let emit = Mutex::new(Emitter::new(plan, out));
     let next = AtomicUsize::new(0);
-    let workers = plan.jobs.min(sim_cells);
+    let workers = plan.jobs.min(cells);
     if workers > 1 {
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= sim_cells {
+                    if i >= cells {
                         break;
                     }
                     let c = &plan.cells[i];
@@ -287,19 +266,12 @@ pub fn run(plan: &Plan, out: &mut (dyn Write + Send)) {
             }
         });
     } else {
-        for i in 0..sim_cells {
-            let c = &plan.cells[i];
+        for (i, c) in plan.cells.iter().enumerate() {
             let co = (c.scenario.run_cell)(&cell_ctx(plan, c));
             emit.lock().unwrap().complete(i, co);
         }
     }
-    let mut em = emit.into_inner().unwrap();
-    for i in sim_cells..plan.cells.len() {
-        let c = &plan.cells[i];
-        let co = (c.scenario.run_cell)(&cell_ctx(plan, c));
-        em.complete(i, co);
-    }
-    em.assert_drained();
+    emit.into_inner().unwrap().assert_drained();
 }
 
 #[cfg(test)]

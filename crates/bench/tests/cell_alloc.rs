@@ -1,5 +1,6 @@
 //! Steady-state allocation audit for a full sweep cell: machine
-//! construction, setup, a *contended* 2-thread run, and row extraction.
+//! construction, setup, a *contended* 2-thread run, and row extraction
+//! (`BenchRow::from_stats`, which serializes the raw `MachineStats`).
 //! The machine-level zero_alloc test covers the single-worker fast
 //! path; this one adds the contention machinery — directory waiter
 //! queues (pooled `LineChannel`s in the coherence engine), sharer rows
@@ -10,11 +11,9 @@
 //! structure the directory or memory system touches has to come from a
 //! pool, not the heap.
 //!
-//! The row is built with fixed metric values (`BenchRow::host_only`)
-//! rather than `from_stats`: formatting real counters into the stats
-//! JSON grows a `String` whose reallocation count depends on digit
-//! counts, which would make the comparison op-count-sensitive for
-//! reasons unrelated to pooling.
+//! The row is extracted exactly as every scenario extracts it.
+//! `MachineStats::to_json` reserves its buffer up front, so the longer
+//! run's wider counters must not cost an extra reallocation either.
 //!
 //! This file holds a single test on purpose — the counting allocator is
 //! global, so a concurrently running test would perturb the count.
@@ -48,11 +47,12 @@ static A: Counting = Counting;
 /// One fixed-shape sweep cell: two workers hammering a single shared
 /// line with read-then-FAA (maximal directory-queue churn; each read
 /// turns the other core's Modified copy into a Shared pair, each FAA
-/// invalidates it again), then a fixed-value row. Returns the
-/// allocations the whole cell performed.
+/// invalidates it again), then the cell's row. Returns the allocations
+/// the whole cell performed.
 fn cell_allocs(ops: u64) -> u64 {
     let before = ALLOCS.load(Ordering::Relaxed);
-    let mut m = Machine::new(SystemConfig::with_cores(2));
+    let cfg = SystemConfig::with_cores(2);
+    let mut m = Machine::new(cfg.clone());
     let shared = m.setup(|mem| mem.alloc_line_aligned(8));
     let progs: Vec<ThreadFn> = (0..2)
         .map(|_| {
@@ -67,7 +67,7 @@ fn cell_allocs(ops: u64) -> u64 {
         .collect();
     let stats = m.run(progs);
     assert_eq!(stats.app_ops, 2 * ops);
-    let row = BenchRow::host_only("contended-faa", 2, 1.0);
+    let row = BenchRow::from_stats("contended-faa", 2, &cfg, &stats);
     assert_eq!(row.threads, 2);
     ALLOCS.load(Ordering::Relaxed) - before
 }

@@ -1,10 +1,10 @@
 //! Registry-wide coverage: every scenario must produce sane rows, and
 //! a parallel sweep must be byte-identical to a serial one.
 
-use lr_bench::{build_plan, find, registry, run, JsonPolicy, PlanOpts, Scenario, ScenarioKind};
+use lr_bench::{build_plan, find, registry, run, JsonPolicy, PlanOpts, Scenario};
 
 /// Tiny per-thread op count: enough to exercise every code path, small
-/// enough to run all 17 scenarios in seconds.
+/// enough to run all 16 scenarios in seconds.
 const TINY_OPS: u64 = 6;
 
 fn run_to_string(scenarios: Vec<&'static Scenario>, jobs: usize, ops: u64) -> String {
@@ -55,17 +55,12 @@ fn smoke_every_scenario_emits_finite_rows() {
 }
 
 /// The core contract of the refactor: a `--jobs 4` parallel sweep over
-/// every deterministic scenario produces row-for-row (in fact
-/// byte-for-byte) identical output to `--jobs 1`.
+/// every scenario produces row-for-row (in fact byte-for-byte)
+/// identical output to `--jobs 1`.
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
-    let sim: Vec<&'static Scenario> = registry()
-        .iter()
-        .copied()
-        .filter(|s| s.kind == ScenarioKind::Sim)
-        .collect();
-    let serial = run_to_string(sim.clone(), 1, TINY_OPS);
-    let parallel = run_to_string(sim, 4, TINY_OPS);
+    let serial = run_to_string(registry().to_vec(), 1, TINY_OPS);
+    let parallel = run_to_string(registry().to_vec(), 4, TINY_OPS);
     assert!(!serial.is_empty());
     assert_eq!(
         serial, parallel,

@@ -1,7 +1,8 @@
-//! The sweep never runs more sim-cell workers than the host has cores:
+//! The sweep never runs more workers than the host has cores:
 //! `lr-bench --jobs J` with J above host parallelism is clamped, with a
-//! warning naming both numbers. Subprocess-driven so the clamp takes
-//! its real path through `build_plan` and the binary's plan banner.
+//! warning naming both numbers, and a `--threads` count no machine can
+//! hold exits with a usage error. Subprocess-driven so both take their
+//! real path through the binary's argument parsing and `build_plan`.
 
 use std::process::{Command, Output};
 
@@ -41,4 +42,35 @@ fn oversubscribing_jobs_are_clamped_with_warning() {
         err.contains(&format!("{host} job(s)")),
         "plan banner should show the clamped job count:\n{err}"
     );
+}
+
+/// A thread count no simulated machine can hold (0, or more than
+/// `MAX_CORES`) is a usage error: exit 2 naming `--threads`, not a
+/// panic from inside a cell. Both are rejected while the arguments are
+/// parsed, so neither run builds a machine or starts a worker.
+#[test]
+fn unrunnable_thread_counts_are_usage_errors() {
+    let too_many = (lr_sim_core::MAX_CORES + 1).to_string();
+    for threads in ["0", too_many.as_str()] {
+        let out = bench(&[
+            "--scenario",
+            "fig2_stack",
+            "--threads",
+            threads,
+            "--ops",
+            "1",
+            "--jobs",
+            "1",
+        ]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--threads {threads}: {out:?}");
+        assert!(
+            err.contains("--threads") && err.contains(threads),
+            "--threads {threads}: the error should name the option and value:\n{err}"
+        );
+        assert!(
+            !err.contains("panicked"),
+            "--threads {threads} panicked:\n{err}"
+        );
+    }
 }

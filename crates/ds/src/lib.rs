@@ -16,14 +16,14 @@
 //! | Sequential skiplist | [`seq_skiplist`] | (substrate for locks/MultiQueues) |
 //! | Delegated stack/counter | [`delegated`] | MCS / CLH / FC / CCSynch (+lease hybrids) |
 //! | Replicated counter/KV (node replication) | [`replicated`] | plain MSI / lease hybrid |
-//! | Host-atomics stack/queue | [`native`] | validation bench |
+
+#![forbid(unsafe_code)]
 
 pub mod bst;
 pub mod delegated;
 pub mod harris_list;
 pub mod hashtable;
 pub mod multiqueue;
-pub mod native;
 pub mod pq;
 pub mod pugh_skiplist;
 pub mod queue;
@@ -39,7 +39,6 @@ pub use delegated::{
 pub use harris_list::HarrisList;
 pub use hashtable::HashTable;
 pub use multiqueue::{MqVariant, MultiQueue};
-pub use native::{NativeQueue, NativeStack};
 pub use pq::PriorityQueue;
 pub use pugh_skiplist::LockingSkipList;
 pub use queue::{MsQueue, QueueVariant};

@@ -7,8 +7,8 @@
 //! seeded workload generator ([`gen`]) produces pure-data per-thread
 //! programs; the executor ([`exec`]) records them live under every
 //! machine-configuration variant and re-verifies each trace through
-//! [`lr_replay`]; and any failure is
-//! delta-debugged ([`shrink`]) to a minimal workload whose trace is
+//! [`lr_replay`]; and any failure is delta-debugged
+//! ([`shrink`](mod@shrink)) to a minimal workload whose trace is
 //! persisted into the checked-in regression corpus ([`corpus`]) that CI
 //! replays on every change.
 //!

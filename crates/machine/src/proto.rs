@@ -8,7 +8,7 @@ use lr_sim_core::{Addr, Cycle};
 pub const ADDRVEC_INLINE: usize = 8;
 
 /// Small-vector of addresses carried by value through the worker ⇄
-/// engine rendezvous. MultiLease groups up to [`ADDRVEC_INLINE`] lines
+/// engine rendezvous. MultiLease groups up to `ADDRVEC_INLINE` lines
 /// travel inline (no heap allocation per call); larger groups — only
 /// possible with a raised `max_num_leases` — fall back to a `Vec`.
 #[derive(Debug, Clone)]

@@ -6,9 +6,9 @@
 //! [`EventQueue::push_at_seq`] instead. Either way every simulation run
 //! with a fixed seed is bit-for-bit reproducible.
 //!
-//! The one backing store is the hierarchical timing wheel of
-//! [`crate::wheel`]: O(1) amortized push/pop, built for the far-future
-//! horizon that lease timeouts keep resident.
+//! The one backing store is the hierarchical timing wheel of the
+//! crate-private `wheel` module: O(1) amortized push/pop, built for the
+//! far-future horizon that lease timeouts keep resident.
 //!
 //! Under the `strict-invariants` feature the queue also mirrors every
 //! pending `(time, seq)` key in a key-only `BinaryHeap` and asserts that

@@ -21,7 +21,7 @@
 //! to the next `SimMemory` built on that thread — so a bench sweep running
 //! thousands of grid cells on a pool of worker threads stops paying one
 //! heap allocation per page per cell. The pool is bounded
-//! ([`POOL_MAX_PAGES`]); overflow pages are simply freed.
+//! (`POOL_MAX_PAGES`); overflow pages are simply freed.
 //!
 //! ## Snapshot/restore
 //!
