@@ -43,6 +43,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 step "tier-1 verify: release build + tests"
 cargo build --release --offline
+# Test builds carry every debug check: the tile-ownership guard, the
+# mid-flight single-writer sweeps, and the event queue's reference
+# check (every wheel pop in the suite, which runs each scenario's smoke
+# cells, the goldens and the corpus, must return the minimum of a
+# key-only heap of everything pending).
 cargo test -q --offline
 
 step "benchmark package: build + tests"
@@ -52,17 +57,11 @@ step "benchmark package: build + tests"
 # here, not when the benchmark is next run.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
-step "strict invariant checking"
-# Also turns on the event queue's reference check: every wheel pop in
-# the suite (each scenario's smoke cells, the goldens, the corpus) must
-# return the minimum of a key-only heap of everything pending.
-cargo test -q --offline --workspace --features lease-release/strict-invariants
-
 step "smoke sweep: every scenario recorded, 2 parallel jobs; every trace replayed"
 # One sweep of every scenario at smoke size. Each scenario's in-cell
 # asserts gate it here; recording only adds trace files, so rows and
-# asserts are those of an unrecorded sweep (the tier-1 and strict steps
-# run that path in registry.rs). Among the asserts:
+# asserts are those of an unrecorded sweep (the tier-1 step runs that
+# path in registry.rs). Among the asserts:
 # - lock showdown (delegation locks MCS/CLH/FC/CCSynch + lease hybrids
 #   vs the paper's TTS/leased locks over one delegated stack): steady
 #   state sends zero simulated allocator messages (node pools are

@@ -22,8 +22,8 @@ OPTIONS:
     --scenario A,B,...   Run only the named scenarios (default: all)
     --series SUBSTR      Run only series whose name contains SUBSTR
     --threads T1,T2,...  Thread counts, each 1 to 1024 (default: 1,2,4,...,64)
-    --ops N              Per-thread operations for every scenario
-                         (default: per scenario)
+    --ops N              Per-thread operations for every scenario, at
+                         least 1 (default: per scenario)
     --jobs N             Parallel workers (default and cap: host cores;
                          output is identical for any N)
     --smoke              Tiny ops, 2-thread cells: every selected
@@ -59,6 +59,15 @@ fn parse_threads(arg: &str) -> Vec<usize> {
             )),
         })
         .collect()
+}
+
+/// `--ops`: every cell needs at least one op per thread, or its
+/// per-op metrics divide by zero.
+fn parse_ops(arg: &str) -> u64 {
+    match arg.trim().parse::<u64>() {
+        Ok(n) if n >= 1 => n,
+        _ => fail(&format!("bad --ops value {arg:?} (must be at least 1)")),
+    }
 }
 
 fn list_scenarios() {
@@ -109,13 +118,7 @@ fn main() {
             }
             "--series" => series_filter = Some(value("--series")),
             "--threads" => threads = Some(parse_threads(&value("--threads"))),
-            "--ops" => {
-                ops = Some(
-                    value("--ops")
-                        .parse()
-                        .unwrap_or_else(|_| fail("bad --ops value")),
-                )
-            }
+            "--ops" => ops = Some(parse_ops(&value("--ops"))),
             "--jobs" => {
                 jobs = Some(
                     value("--jobs")

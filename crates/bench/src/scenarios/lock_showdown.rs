@@ -30,7 +30,7 @@ use crate::scenario::{CellCtx, CellOut, Scenario};
 use lr_ds::{DelegatedStack, StackApply, STACK_EMPTY, STACK_PUSH};
 use lr_machine::{Machine, MachineStats, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::Addr;
-use lr_sync::{CsApply, DlockAlgo, LeasedLock, SpinLock, TryLock};
+use lr_sync::{CsApply, LeasedLock, SpinLock, TryLock, DLOCK_ALGOS};
 use std::sync::{Arc, Mutex};
 
 pub static SCENARIO: Scenario = Scenario {
@@ -137,23 +137,13 @@ impl Tally {
     }
 }
 
-/// Which protocol guards the critical sections of a series.
+/// Which protocol guards the critical sections of a series: one of the
+/// two TTS baselines, or (series 2 on) `DLOCK_ALGOS[series - 2]`.
 #[derive(Clone)]
 enum Guard {
-    Tts(SpinLock),
-    TtsLease(LeasedLock),
+    Lock(Arc<dyn TryLock + Send + Sync>),
     Delegated(DelegatedStack),
 }
-
-/// Map a series index past the two TTS baselines onto the dlock family.
-const DLOCK_SERIES: [DlockAlgo; 6] = [
-    DlockAlgo::Mcs,
-    DlockAlgo::McsLease,
-    DlockAlgo::Clh,
-    DlockAlgo::Fc,
-    DlockAlgo::FcLease,
-    DlockAlgo::CcSynch,
-];
 
 struct RunOut {
     stats: MachineStats,
@@ -180,17 +170,19 @@ fn simulate(ctx: &CellCtx, series: usize, hot: bool, record: bool) -> RunOut {
     // send a single allocator message (asserted below via EngineInfo).
     let (guard, apply, own) = m.setup(|mem| {
         let (guard, apply) = match series {
-            0 => {
+            0 | 1 => {
                 let a = StackApply::init(mem, threads as u64);
-                (Guard::Tts(SpinLock::init(mem)), a)
-            }
-            1 => {
-                let a = StackApply::init(mem, threads as u64);
-                (Guard::TtsLease(LeasedLock::init(mem)), a)
+                let lock: Arc<dyn TryLock + Send + Sync> = if series == 0 {
+                    Arc::new(SpinLock::init(mem))
+                } else {
+                    Arc::new(LeasedLock::init(mem))
+                };
+                (Guard::Lock(lock), a)
             }
             _ => {
-                let s =
-                    DelegatedStack::init(mem, DLOCK_SERIES[series - 2], threads, threads as u64);
+                let algo = DLOCK_ALGOS[series - 2];
+                assert_eq!(SCENARIO.series[series], algo.name());
+                let s = DelegatedStack::init(mem, algo, threads, threads as u64);
                 let a = s.apply();
                 (Guard::Delegated(s), a)
             }
@@ -226,15 +218,7 @@ fn simulate(ctx: &CellCtx, series: usize, hot: bool, record: bool) -> RunOut {
                         turn += 1;
                         let t0 = ctx.now();
                         let resp = match &guard {
-                            Guard::Tts(l) => {
-                                l.lock(ctx);
-                                let r = apply.apply(ctx, op, arg);
-                                l.unlock(ctx);
-                                t.acq += 1;
-                                t.comb += 1;
-                                r
-                            }
-                            Guard::TtsLease(l) => {
+                            Guard::Lock(l) => {
                                 l.lock(ctx);
                                 let r = apply.apply(ctx, op, arg);
                                 l.unlock(ctx);

@@ -1,8 +1,9 @@
 //! The sweep never runs more workers than the host has cores:
 //! `lr-bench --jobs J` with J above host parallelism is clamped, with a
 //! warning naming both numbers, and a `--threads` count no machine can
-//! hold exits with a usage error. Subprocess-driven so both take their
-//! real path through the binary's argument parsing and `build_plan`.
+//! hold (or `--ops 0`) exits with a usage error. Subprocess-driven so
+//! both take their real path through the binary's argument parsing and
+//! `build_plan`.
 
 use std::process::{Command, Output};
 
@@ -45,32 +46,29 @@ fn oversubscribing_jobs_are_clamped_with_warning() {
 }
 
 /// A thread count no simulated machine can hold (0, or more than
-/// `MAX_CORES`) is a usage error: exit 2 naming `--threads`, not a
-/// panic from inside a cell. Both are rejected while the arguments are
-/// parsed, so neither run builds a machine or starts a worker.
+/// `MAX_CORES`), or zero ops per thread, is a usage error: exit 2
+/// naming the option, not a panic or a NaN row from inside a cell. All
+/// are rejected while the arguments are parsed, so no run builds a
+/// machine or starts a worker.
 #[test]
 fn unrunnable_thread_counts_are_usage_errors() {
     let too_many = (lr_sim_core::MAX_CORES + 1).to_string();
-    for threads in ["0", too_many.as_str()] {
-        let out = bench(&[
-            "--scenario",
-            "fig2_stack",
-            "--threads",
-            threads,
-            "--ops",
-            "1",
-            "--jobs",
-            "1",
-        ]);
+    for (flag, value) in [
+        ("--threads", "0"),
+        ("--threads", too_many.as_str()),
+        ("--ops", "0"),
+    ] {
+        let mut args = vec!["--scenario", "fig2_stack", "--threads", "2", "--ops", "1"];
+        let at = args.iter().position(|a| *a == flag).unwrap() + 1;
+        args[at] = value;
+        args.extend(["--jobs", "1"]);
+        let out = bench(&args);
         let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "--threads {threads}: {out:?}");
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {out:?}");
         assert!(
-            err.contains("--threads") && err.contains(threads),
-            "--threads {threads}: the error should name the option and value:\n{err}"
+            err.contains(flag) && err.contains(value),
+            "{flag} {value}: the error should name the option and value:\n{err}"
         );
-        assert!(
-            !err.contains("panicked"),
-            "--threads {threads} panicked:\n{err}"
-        );
+        assert!(!err.contains("panicked"), "{flag} {value} panicked:\n{err}");
     }
 }

@@ -30,9 +30,10 @@
 //! NoC latency, so every cross-tile effect is a message with its own
 //! delivery time.
 //!
-//! In debug and `strict-invariants` builds, every tile-slice access
-//! asserts that the touched tile equals the executing tile, so a
-//! handler that silently reaches across tiles fails loudly.
+//! In debug builds, every tile-slice access asserts that the touched
+//! tile equals the executing tile, so a handler that silently reaches
+//! across tiles fails loudly. Debug builds also sweep the single-writer
+//! invariant of a line mid-flight, at each grant and each `DirUnlock`.
 //!
 //! The directory is therefore *eventually consistent* with the L1s:
 //! while a `DirUpdate`/`Writeback`/`SharerDrop` rides the NoC, the
@@ -150,10 +151,7 @@ pub struct CoherenceEngine {
     /// tile-ownership guard's reference. Each entry point sets it
     /// before touching tile state and never calls back into another
     /// entry point, so it is stable for the extent of each call.
-    #[cfg_attr(
-        not(any(debug_assertions, feature = "strict-invariants")),
-        allow(dead_code)
-    )]
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
     cur: usize,
 }
 
@@ -207,14 +205,14 @@ impl CoherenceEngine {
     /// executing the current event. Compiled out in plain release builds.
     #[inline]
     fn assert_tile(&self, t: CoreId) {
-        #[cfg(any(debug_assertions, feature = "strict-invariants"))]
+        #[cfg(debug_assertions)]
         assert!(
             t.idx() == self.cur,
             "tile-ownership violated: handler executing at tile {} touched tile {}",
             self.cur,
             t.idx()
         );
-        #[cfg(not(any(debug_assertions, feature = "strict-invariants")))]
+        #[cfg(not(debug_assertions))]
         let _ = t;
     }
 
@@ -557,7 +555,7 @@ impl CoherenceEngine {
         // DirUpdate (if any) provably landed first, its invalidations
         // landed before its grant. Only victim messages may still be in
         // flight, so the sweep checks the single-writer property only.
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         self.check_invariants_at(line);
         if let Some(next) = next {
             self.tile_mut(home).channels.get_mut(&line).unwrap().active = Some(next);
@@ -980,7 +978,7 @@ impl CoherenceEngine {
         // may hold it writable (the full directory/L1 agreement is
         // checked at this transaction's DirUnlock, once the in-flight
         // DirUpdate has landed).
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         self.check_invariants_at(line);
         let done = now + self.cfg.l1_latency;
         if lease_intent {

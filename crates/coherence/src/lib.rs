@@ -29,9 +29,8 @@
 //! tile is split off as a follow-on [`CohEvent`] scheduled with a real
 //! NoC latency: there is no hidden shared state between handlers, only
 //! messages, so every cross-tile ordering the protocol relies on is
-//! visible as message timing. In debug (and `strict-invariants`) builds
-//! every tile-slice access is checked against the executing tile and
-//! panics on a violation.
+//! visible as message timing. In debug builds every tile-slice access
+//! is checked against the executing tile and panics on a violation.
 
 #![forbid(unsafe_code)]
 

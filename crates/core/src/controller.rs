@@ -9,7 +9,7 @@
 //! to arm. Every lease ends in `CoreLeases::end`, which counts each
 //! released line once, under one reason.
 
-use crate::table::{ArmedCounter, BeginLease, LeaseState, LeaseTable};
+use crate::table::{ArmedCounter, LeaseState, LeaseTable};
 use lr_coherence::ProbeAction;
 use lr_sim_core::{CoreId, CoreStats, Cycle, LeaseConfig, LineAddr};
 
@@ -119,7 +119,7 @@ impl LeaseController {
         if let Some(oldest) = c.table.displaced_by(line) {
             c.end(Scope::Line(oldest), End::Overflow, out);
         }
-        let inserted = matches!(c.table.begin_lease(line, time), BeginLease::Inserted { .. });
+        let inserted = c.table.begin_lease(line, time);
         if inserted {
             c.stats.leases_taken += 1;
         }

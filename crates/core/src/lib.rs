@@ -44,4 +44,4 @@ pub use controller::LeaseController;
 pub use predictor::{AdaptiveLease, LeasePredictor};
 pub use snapshot::{snapshot, LeaseOps};
 pub use software::software_multilease_schedule;
-pub use table::{ArmedCounter, BeginLease, LeaseState, LeaseTable};
+pub use table::{ArmedCounter, LeaseState, LeaseTable};

@@ -47,23 +47,6 @@ pub enum LeaseState {
     Expired,
 }
 
-/// Result of starting a single lease (Algorithm 1, `LEASE`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BeginLease {
-    /// The line is already leased: per footnote 1, leases are never
-    /// extended, and no new entry is created.
-    AlreadyLeased,
-    /// A new entry was created. If the table was full, `displaced` lists
-    /// the lines released to make room — the oldest lease in FIFO order,
-    /// which, if it was a MultiLease member, takes its whole group with
-    /// it. The caller must complete those releases (unpin, resume queued
-    /// probes) before requesting ownership of the new line.
-    Inserted {
-        /// Lines released by FIFO replacement (usually empty or one).
-        displaced: Vec<LineAddr>,
-    },
-}
-
 /// A started lease counter the machine must arm an expiry event for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArmedCounter {
@@ -159,32 +142,35 @@ impl LeaseTable {
     }
 
     /// Algorithm 1 `LEASE`: admit a lease on `line` for `time` cycles.
+    /// Returns false, and creates no entry, if `line` is leased already
+    /// (footnote 1: leases are never extended).
     ///
-    /// The caller must (a) complete the release of any displaced line,
-    /// then (b) request `line` in Exclusive state with lease intent, and
-    /// (c) call [`LeaseTable::on_exclusive_granted_into`] when ownership
-    /// arrives.
-    pub fn begin_lease(&mut self, line: LineAddr, time: Cycle) -> BeginLease {
+    /// The table must have room: a caller with a full table first ends
+    /// the lease [`LeaseTable::displaced_by`] names (FIFO replacement,
+    /// as [`crate::LeaseController::lease`] does). It then requests
+    /// `line` in Exclusive state with lease intent and calls
+    /// [`LeaseTable::on_exclusive_granted_into`] when ownership arrives.
+    pub fn begin_lease(&mut self, line: LineAddr, time: Cycle) -> bool {
         assert!(
             !self.acquiring(),
             "single leases may not be taken during a MultiLease acquisition"
         );
         if self.find(line).is_some() {
-            return BeginLease::AlreadyLeased;
+            return false;
         }
-        let mut displaced = Vec::new();
-        if let Some(oldest) = self.displaced_by(line) {
-            // A displaced group member cancels its whole group.
-            self.release_into(oldest, &mut displaced);
-        }
+        assert!(
+            self.entries.len() < self.cfg.max_num_leases,
+            "lease table full: end the displaced_by victim before begin_lease"
+        );
         self.insert_entry(line, time, false);
-        BeginLease::Inserted { displaced }
+        true
     }
 
-    /// The lease that [`LeaseTable::begin_lease`] on `line` would
-    /// displace: the oldest (FIFO), if the table is full and `line` is not
-    /// leased already.
-    pub(crate) fn displaced_by(&self, line: LineAddr) -> Option<LineAddr> {
+    /// The lease that [`LeaseTable::begin_lease`] on `line` needs ended
+    /// first: the oldest (FIFO), if the table is full and `line` is not
+    /// leased already. If it is a MultiLease member, ending it ends its
+    /// whole group.
+    pub fn displaced_by(&self, line: LineAddr) -> Option<LineAddr> {
         if self.entries.len() < self.cfg.max_num_leases || self.find(line).is_some() {
             return None;
         }
@@ -373,10 +359,7 @@ mod tests {
     #[test]
     fn lease_then_grant_then_expiry() {
         let mut t = table(4);
-        assert_eq!(
-            t.begin_lease(A, 500),
-            BeginLease::Inserted { displaced: vec![] }
-        );
+        assert!(t.begin_lease(A, 500));
         assert_eq!(
             t.state(A, 0),
             LeaseState::Pending,
@@ -410,23 +393,8 @@ mod tests {
         t.begin_lease(A, 100);
         t.on_exclusive_granted_into(A, 0, &mut Vec::new());
         // Footnote 1: a second lease on a leased line does nothing.
-        assert_eq!(t.begin_lease(A, 1_000_000), BeginLease::AlreadyLeased);
+        assert!(!t.begin_lease(A, 1_000_000));
         assert!(!t.is_leased(A, 100));
-    }
-
-    #[test]
-    fn fifo_replacement_displaces_oldest() {
-        let mut t = table(2);
-        t.begin_lease(A, 10);
-        t.begin_lease(B, 10);
-        match t.begin_lease(C, 10) {
-            BeginLease::Inserted { displaced } => assert_eq!(displaced, vec![A]),
-            other => panic!("expected displacement of A, got {other:?}"),
-        }
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.state(B, 0), LeaseState::Pending);
-        assert_eq!(t.state(C, 0), LeaseState::Pending);
-        assert_eq!(t.state(A, 0), LeaseState::NotLeased);
     }
 
     #[test]
@@ -565,6 +533,8 @@ mod tests {
         let mut t = table(1);
         t.begin_lease(A, 10);
         // A is displaced before its ownership arrives.
+        assert_eq!(t.displaced_by(B), Some(A));
+        assert!(t.release_into(A, &mut Vec::new()));
         t.begin_lease(B, 10);
         let mut armed = Vec::new();
         t.on_exclusive_granted_into(A, 5, &mut armed);

@@ -3,7 +3,7 @@
 //! in-tree [`SplitMix64`] generator.
 
 use lr_coherence::ProbeAction;
-use lr_lease::{BeginLease, LeaseController, LeaseState, LeaseTable};
+use lr_lease::{LeaseController, LeaseState, LeaseTable};
 use lr_sim_core::{CoreId, Cycle, LeaseConfig, LineAddr, SplitMix64};
 use std::collections::{BTreeSet, HashMap};
 
@@ -85,14 +85,19 @@ fn table_invariants_hold() {
                 continue;
             }
             match random_cmd(&mut rng) {
-                Cmd::Begin { line, time } => match t.begin_lease(LineAddr(line), time) {
-                    BeginLease::AlreadyLeased => {
+                Cmd::Begin { line, time } => {
+                    // A full table first ends its oldest lease, with its
+                    // group, as `LeaseController::lease` does.
+                    if let Some(victim) = t.displaced_by(LineAddr(line)) {
+                        assert!(t.release_into(victim, &mut released));
+                        assert!(released.contains(&victim));
+                    }
+                    if t.begin_lease(LineAddr(line), time) {
+                        assert_eq!(t.state(LineAddr(line), now), LeaseState::Pending);
+                    } else {
                         assert_ne!(t.state(LineAddr(line), now), LeaseState::NotLeased);
                     }
-                    BeginLease::Inserted { .. } => {
-                        assert_eq!(t.state(LineAddr(line), now), LeaseState::Pending);
-                    }
-                },
+                }
                 Cmd::Grant { line } => {
                     let was_pending = t.state(LineAddr(line), now) == LeaseState::Pending;
                     t.on_exclusive_granted_into(LineAddr(line), now, &mut counters);

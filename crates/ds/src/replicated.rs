@@ -9,15 +9,16 @@
 //! entry flips a per-entry ready flag once its `(op, arg)` words are
 //! published. Every socket keeps a **replica** of the structure in its
 //! own memory arena ([`lr_sim_mem::SimMemory::alloc_in_socket`], so the
-//! replica's lines are directory-homed on that socket) plus a
-//! flat-combining layer reusing the [`CsApply`] contract of the
-//! delegation locks: threads publish `(op, arg)` into a socket-local
-//! record, one thread per socket takes the socket's combiner lock,
-//! appends the whole socket batch to the log with one reservation, and
-//! replays the log into the local replica up to the end of its batch —
-//! computing each of its own operations' responses on the way. Replicas
-//! apply the identical log prefix in the identical order, so any
-//! replica's response for a given log position is the linearized one.
+//! replica's lines are directory-homed on that socket) plus one flat
+//! combiner per socket: the delegation locks' [`fc_call`] over a
+//! socket-local record and combiner word, with its own serve step.
+//! Threads publish `(op, arg)`, and the thread that wins the socket's
+//! combiner word appends the whole socket batch to the log with one
+//! reservation, then replays the log into the local replica up to the
+//! end of its batch, computing each batched operation's response on
+//! the way. Replicas apply the identical log prefix in the identical
+//! order, so any replica's response for a given log position is the
+//! linearized one.
 //!
 //! Cross-socket traffic per *batch* is therefore one tail FAA plus the
 //! log-entry lines, instead of one structure-line migration per
@@ -32,16 +33,10 @@
 use lr_machine::ThreadCtx;
 use lr_sim_core::Addr;
 use lr_sim_mem::SimMemory;
-use lr_sync::CsApply;
+use lr_sync::{
+    fc_call, fc_respond, fc_scan, CsApply, LeasedLock, SpinLock, FC_RECORD_BYTES, SPIN_WORK,
+};
 use std::sync::Arc;
-
-/// Publication-record layout (32 bytes, line-aligned; one per thread,
-/// allocated in the thread's socket arena). REQ: 0 = idle, 1 = pending,
-/// 2 = served — the same protocol as the flat-combining delegation lock.
-const REC_REQ: u64 = 0;
-const REC_OP: u64 = 8;
-const REC_ARG: u64 = 16;
-const REC_RESP: u64 = 24;
 
 /// Log-entry layout (32 bytes, line-sharing allowed: entries are
 /// written once and then only read).
@@ -50,10 +45,6 @@ const LOG_ARG: u64 = 8;
 const LOG_READY: u64 = 16;
 /// Bytes per log entry.
 pub const LOG_STRIDE: u64 = 32;
-
-/// Local spin cost between re-reads while waiting (cycles), matching
-/// the delegation locks' cadence.
-const SPIN_WORK: u64 = 48;
 
 /// Per-thread handle: the thread id plus host-side combining stats
 /// (deterministic but never part of `MachineStats`).
@@ -89,8 +80,8 @@ pub struct Replicated<A> {
     combiner: Arc<[Addr]>,
     /// Per-socket applied-prefix counter (only its combiner touches it).
     applied: Arc<[Addr]>,
-    /// Per-thread publication record, indexed by tid (each in its
-    /// thread's socket arena).
+    /// Per-thread flat-combining publication record, indexed by tid
+    /// (each in its thread's socket arena).
     recs: Arc<[Addr]>,
     /// Per-socket replica interpreters (each over arena-local storage).
     replicas: Arc<[A]>,
@@ -130,7 +121,7 @@ impl<A: CsApply> Replicated<A> {
             .map(|s| mem.alloc_in_socket(8, 64, s))
             .collect();
         let recs = (0..max_threads)
-            .map(|t| mem.alloc_in_socket(32, 64, t / tiles_per_socket))
+            .map(|t| mem.alloc_in_socket(FC_RECORD_BYTES, 64, t / tiles_per_socket))
             .collect();
         let replicas = (0..sockets).map(|s| mk_replica(mem, s)).collect();
         Replicated {
@@ -191,60 +182,22 @@ impl<A: CsApply> Replicated<A> {
         self.log.offset(i * LOG_STRIDE)
     }
 
-    /// Execute one operation through the replicated structure: publish
-    /// to the socket-local record, then either observe it served or win
-    /// the socket's combiner lock, append the socket batch to the
-    /// shared log, and replay the log into the local replica. Returns
-    /// the operation's response word.
+    /// Execute one operation through the replicated structure: a
+    /// flat-combining call on the socket's combiner word (leased in the
+    /// hybrid) whose serve step appends the socket's batch to the log
+    /// and replays the log into the socket's replica. Returns the
+    /// operation's response word.
     pub fn run(&self, ctx: &mut ThreadCtx, h: &mut ReplHandle, op: u64, arg: u64) -> u64 {
         let s = h.tid / self.tps;
         let rec = self.recs[h.tid];
-        ctx.write(rec.offset(REC_OP), op);
-        ctx.write(rec.offset(REC_ARG), arg);
-        ctx.write(rec.offset(REC_REQ), 1);
-        let lockw = self.combiner[s];
-        loop {
-            if ctx.read(rec.offset(REC_REQ)) == 2 {
-                let resp = ctx.read(rec.offset(REC_RESP));
-                ctx.write(rec.offset(REC_REQ), 0);
-                return resp;
-            }
-            let won = if self.lease {
-                ctx.lease_max(lockw);
-                if ctx.xchg(lockw, 1) == 0 {
-                    true
-                } else {
-                    // Contended: drop the lease at once (the §6 rule).
-                    ctx.release(lockw);
-                    false
-                }
-            } else {
-                ctx.read(lockw) == 0 && ctx.xchg(lockw, 1) == 0
-            };
-            if won {
-                if ctx.read(rec.offset(REC_REQ)) == 2 {
-                    // Served while we contended for the combiner word:
-                    // hand the lock straight back.
-                    ctx.write(lockw, 0);
-                    if self.lease {
-                        ctx.release(lockw);
-                    }
-                    let resp = ctx.read(rec.offset(REC_RESP));
-                    ctx.write(rec.offset(REC_REQ), 0);
-                    return resp;
-                }
-                h.combines += 1;
-                h.appended += self.combine(ctx, s);
-                ctx.write(lockw, 0);
-                if self.lease {
-                    ctx.release(lockw);
-                }
-                // Our own record was pending, so the batch served it.
-                let resp = ctx.read(rec.offset(REC_RESP));
-                ctx.write(rec.offset(REC_REQ), 0);
-                return resp;
-            }
-            ctx.work(SPIN_WORK);
+        let serve = |ctx: &mut ThreadCtx| {
+            h.combines += 1;
+            h.appended += self.combine(ctx, s);
+        };
+        if self.lease {
+            fc_call(ctx, &LeasedLock::at(self.combiner[s]), rec, op, arg, serve)
+        } else {
+            fc_call(ctx, &SpinLock::at(self.combiner[s]), rec, op, arg, serve)
         }
     }
 
@@ -257,19 +210,9 @@ impl<A: CsApply> Replicated<A> {
         let lo = s * self.tps;
         let hi = ((s + 1) * self.tps).min(self.recs.len());
         let mut batch: Vec<(Addr, u64, u64)> = Vec::new();
-        for &r in &self.recs[lo..hi] {
-            if self.lease {
-                ctx.lease_max(r);
-            }
-            if ctx.read(r.offset(REC_REQ)) == 1 {
-                let o = ctx.read(r.offset(REC_OP));
-                let a = ctx.read(r.offset(REC_ARG));
-                batch.push((r, o, a));
-            }
-            if self.lease {
-                ctx.release(r);
-            }
-        }
+        fc_scan(ctx, &self.recs[lo..hi], self.lease, |_, r, o, a| {
+            batch.push((r, o, a))
+        });
         // The caller's own record was pending, so the batch is never
         // empty.
         let k = batch.len() as u64;
@@ -303,9 +246,7 @@ impl<A: CsApply> Replicated<A> {
             let a = ctx.read(e.offset(LOG_ARG));
             let resp = self.replicas[s].apply(ctx, o, a);
             if t >= start {
-                let (r, ..) = batch[(t - start) as usize];
-                ctx.write(r.offset(REC_RESP), resp);
-                ctx.write(r.offset(REC_REQ), 2);
+                fc_respond(ctx, batch[(t - start) as usize].0, resp);
             }
             t += 1;
         }

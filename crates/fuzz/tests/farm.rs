@@ -24,13 +24,12 @@ fn first_seeds_are_clean() {
     }
 }
 
-/// Every checked-in corpus trace replays clean with the tile-ownership
-/// assertions compiled in (debug/test builds always carry them; the CI
-/// `strict-invariants` pass re-runs this test with the mid-flight
-/// single-writer sweeps and the event queue's reference check enabled
-/// as well). This drives the message-passing coherence handlers through
-/// every recorded protocol interleaving while proving no handler ever
-/// touches another tile's slice.
+/// Every checked-in corpus trace replays clean with the debug checks
+/// compiled in: the tile-ownership assertions, the mid-flight
+/// single-writer sweeps and the event queue's reference check (test
+/// builds always carry them). This drives the message-passing coherence
+/// handlers through every recorded protocol interleaving while proving
+/// no handler ever touches another tile's slice.
 #[test]
 fn checked_in_corpus_replays_clean_with_ownership_assertions() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
@@ -40,6 +39,35 @@ fn checked_in_corpus_replays_clean_with_ownership_assertions() {
         "(4 seeds + 1 delegation + 1 replicated workload) x 3 variants"
     );
     assert!(ops > 0);
+}
+
+/// The checked-in corpus is exactly what today's workload code records:
+/// re-recording it (`lr-fuzz --regen-corpus corpus --seeds 4`) writes
+/// the same 18 files, byte for byte. Replaying the corpus re-drives its
+/// recorded ops, so it cannot see a change in the ops a workload
+/// issues; re-recording does.
+#[test]
+fn corpus_is_what_todays_workloads_record() {
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+    let dir = scratch("corpus_rerecord");
+    let mut wrote = regen_corpus(&dir, 4).unwrap();
+    wrote.sort();
+    // Shrunk reproducers (`repro_*`) are not re-recorded.
+    let mut healthy: Vec<String> = std::fs::read_dir(&corpus)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| !n.starts_with("repro_"))
+        .collect();
+    healthy.sort();
+    assert_eq!(wrote, healthy, "corpus/ holds other entries than a regen");
+    assert_eq!(wrote.len(), 18);
+    for name in &wrote {
+        assert!(
+            std::fs::read(dir.join(name)).unwrap() == std::fs::read(corpus.join(name)).unwrap(),
+            "{name}: today's workload code records a different trace"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Recording the same workload twice under the same variant is

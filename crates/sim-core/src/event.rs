@@ -10,16 +10,17 @@
 //! crate-private `wheel` module: O(1) amortized push/pop, built for the
 //! far-future horizon that lease timeouts keep resident.
 //!
-//! Under the `strict-invariants` feature the queue also mirrors every
-//! pending `(time, seq)` key in a key-only `BinaryHeap` and asserts that
-//! each pop returns that reference's minimum, so every pop of a strict
-//! run is checked against an independent implementation of the order.
+//! In debug builds (so in every `cargo test`) the queue also mirrors
+//! every pending `(time, seq)` key in a key-only `BinaryHeap` and
+//! asserts that each pop returns that reference's minimum, so every pop
+//! of a test run is checked against an independent implementation of
+//! the order. Release builds carry no reference.
 
 use crate::wheel::Wheel;
 use crate::Cycle;
-#[cfg(feature = "strict-invariants")]
+#[cfg(debug_assertions)]
 use std::cmp::Reverse;
-#[cfg(feature = "strict-invariants")]
+#[cfg(debug_assertions)]
 use std::collections::BinaryHeap;
 
 /// The event queue's backing store. The timing wheel is the only one;
@@ -49,7 +50,7 @@ pub struct EventQueue<E> {
     /// Reference order: every pending `(time, seq)`, min first. It
     /// keeps its capacity across pops, so a warmed-up run allocates no
     /// more than the wheel's own slab does.
-    #[cfg(feature = "strict-invariants")]
+    #[cfg(debug_assertions)]
     reference: BinaryHeap<Reverse<(Cycle, u64)>>,
 }
 
@@ -67,7 +68,7 @@ impl<E> EventQueue<E> {
             seq: 0,
             now: 0,
             processed: 0,
-            #[cfg(feature = "strict-invariants")]
+            #[cfg(debug_assertions)]
             reference: BinaryHeap::new(),
         }
     }
@@ -128,7 +129,7 @@ impl<E> EventQueue<E> {
             time,
             self.now
         );
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         self.reference.push(Reverse((time, seq)));
         self.wheel.push(time, seq, payload);
     }
@@ -162,7 +163,7 @@ impl<E> EventQueue<E> {
         );
         // Reference check: the wheel must pop the `(time, seq)` minimum
         // of everything pending.
-        #[cfg(feature = "strict-invariants")]
+        #[cfg(debug_assertions)]
         {
             let Reverse(want) = self
                 .reference
@@ -175,7 +176,7 @@ impl<E> EventQueue<E> {
                 (time, seq)
             );
         }
-        #[cfg(not(feature = "strict-invariants"))]
+        #[cfg(not(debug_assertions))]
         let _ = seq;
         self.now = time;
         self.processed += 1;

@@ -2,6 +2,7 @@
 //! queue-lock baseline of the paper's counter benchmark. Each waiter
 //! spins on its predecessor's node, so waiting costs no global traffic.
 
+use crate::SPIN_WORK;
 use lr_machine::ThreadCtx;
 use lr_sim_core::Addr;
 use lr_sim_mem::SimMemory;
@@ -20,6 +21,23 @@ pub struct ClhHandle {
     pred: Addr,
 }
 
+impl ClhHandle {
+    /// A handle that enqueues with `node`, a word on a line this thread
+    /// owns — for callers that pre-allocate their queue nodes.
+    pub fn with_node(node: Addr) -> Self {
+        ClhHandle {
+            node,
+            pred: Addr::NULL,
+        }
+    }
+
+    /// The node the next acquisition enqueues with: after an unlock,
+    /// the predecessor's node, recycled.
+    pub fn node(&self) -> Addr {
+        self.node
+    }
+}
+
 impl ClhLock {
     /// Allocate the lock with an initial unlocked dummy node.
     pub fn init(mem: &mut SimMemory) -> Self {
@@ -29,12 +47,15 @@ impl ClhLock {
         ClhLock { tail }
     }
 
+    /// Wrap an existing tail word, which must point at an unlocked
+    /// (zero) node.
+    pub fn at(tail: Addr) -> Self {
+        ClhLock { tail }
+    }
+
     /// Create this thread's handle (allocates its queue node).
     pub fn handle(&self, ctx: &mut ThreadCtx) -> ClhHandle {
-        ClhHandle {
-            node: ctx.malloc_line(8),
-            pred: Addr::NULL,
-        }
+        ClhHandle::with_node(ctx.malloc_line(8))
     }
 
     /// Acquire the lock.
@@ -43,7 +64,7 @@ impl ClhLock {
         let pred = Addr(ctx.xchg(self.tail, h.node.0));
         h.pred = pred;
         while ctx.read(pred) != 0 {
-            ctx.work(48);
+            ctx.work(SPIN_WORK);
         }
     }
 

@@ -21,6 +21,7 @@
 //! the structure being protected, so every thread (and therefore every
 //! potential combiner) can run any thread's operation.
 
+use crate::{ClhHandle, ClhLock, LeasedLock, SpinLock, TryLock, SPIN_WORK};
 use lr_machine::ThreadCtx;
 use lr_sim_core::Addr;
 use lr_sim_mem::SimMemory;
@@ -41,9 +42,8 @@ pub enum DlockAlgo {
     /// MCS with the tail word leased around the `xchg`/`cas` — the §6
     /// idea applied to the queue lock's only contended line.
     McsLease,
-    /// CLH queue lock with handoff node recycling (spin on the
-    /// predecessor's node; pre-allocated pool, unlike [`crate::ClhLock`]
-    /// which mallocs its node per handle).
+    /// [`ClhLock`] over a pre-allocated node pool (its own handles
+    /// malloc one node each).
     Clh,
     /// Flat combining: publish `(op, arg)`, one thread takes a TTS
     /// combiner lock and serves the whole publication list.
@@ -86,8 +86,10 @@ impl DlockAlgo {
 const MCS_LOCKED: u64 = 0;
 const MCS_NEXT: u64 = 8;
 
-// Flat-combining publication record layout (32 bytes, line-aligned).
-// REQ: 0 = idle, 1 = pending, 2 = served.
+/// Bytes of a flat-combining publication record (allocate each one
+/// line-aligned, one per thread). Layout: REQ (0 = idle, 1 = pending,
+/// 2 = served), OP, ARG, RESP.
+pub const FC_RECORD_BYTES: u64 = 32;
 const FC_REQ: u64 = 0;
 const FC_OP: u64 = 8;
 const FC_ARG: u64 = 16;
@@ -107,9 +109,75 @@ const CC_NEXT: u64 = 40;
 /// freely, small enough that no thread serves unboundedly).
 const CC_HANDOFF: u64 = 64;
 
-/// Local spin-loop cost between re-reads while waiting (cycles),
-/// matching the CLH baseline's cadence.
-const SPIN_WORK: u64 = 48;
+/// One flat-combining call \[Hendler et al., SPAA 2010\] on this
+/// thread's record `rec`: publish `(op, arg)`, then poll the record and
+/// try `lock` until either a combiner has served the record or the lock
+/// is won. A winner whose record was served while it contended (under
+/// leases, waiters queue for a whole session) hands the lock straight
+/// back; any other winner runs `serve`, which must serve every pending
+/// record in its charge, its own included ([`fc_scan`],
+/// [`fc_respond`]). Returns the operation's response word.
+pub fn fc_call<L: TryLock>(
+    ctx: &mut ThreadCtx,
+    lock: &L,
+    rec: Addr,
+    op: u64,
+    arg: u64,
+    serve: impl FnOnce(&mut ThreadCtx),
+) -> u64 {
+    ctx.write(rec.offset(FC_OP), op);
+    ctx.write(rec.offset(FC_ARG), arg);
+    ctx.write(rec.offset(FC_REQ), 1);
+    let won = loop {
+        if ctx.read(rec.offset(FC_REQ)) == 2 {
+            break false;
+        }
+        if lock.try_lock(ctx) {
+            break true;
+        }
+        ctx.work(SPIN_WORK);
+    };
+    if won {
+        if ctx.read(rec.offset(FC_REQ)) != 2 {
+            serve(ctx);
+        }
+        lock.unlock(ctx);
+    }
+    let resp = ctx.read(rec.offset(FC_RESP));
+    ctx.write(rec.offset(FC_REQ), 0);
+    resp
+}
+
+/// The combiner's pass over `recs`: `f(ctx, rec, op, arg)` for each
+/// pending record. With `lease`, each record's line is leased while it
+/// is read and `f` runs, batching the response and handoff
+/// invalidations the way §6 batches lock-word ownership.
+pub fn fc_scan(
+    ctx: &mut ThreadCtx,
+    recs: &[Addr],
+    lease: bool,
+    mut f: impl FnMut(&mut ThreadCtx, Addr, u64, u64),
+) {
+    for &r in recs {
+        if lease {
+            ctx.lease_max(r);
+        }
+        if ctx.read(r.offset(FC_REQ)) == 1 {
+            let op = ctx.read(r.offset(FC_OP));
+            let arg = ctx.read(r.offset(FC_ARG));
+            f(ctx, r, op, arg);
+        }
+        if lease {
+            ctx.release(r);
+        }
+    }
+}
+
+/// Serve the pending record `rec` with response `resp`.
+pub fn fc_respond(ctx: &mut ThreadCtx, rec: Addr, resp: u64) {
+    ctx.write(rec.offset(FC_RESP), resp);
+    ctx.write(rec.offset(FC_REQ), 2);
+}
 
 /// A delegation lock instance: the shared word(s) plus the pre-allocated
 /// per-thread node/record pool. `Clone` so each workload thread can move
@@ -160,7 +228,7 @@ impl Dlock {
                 v
             }
             DlockAlgo::Fc | DlockAlgo::FcLease => (0..max_threads)
-                .map(|_| mem.alloc_line_aligned(32))
+                .map(|_| mem.alloc_line_aligned(FC_RECORD_BYTES))
                 .collect(),
             DlockAlgo::CcSynch => {
                 let v: Vec<Addr> = (0..max_threads + 1)
@@ -204,8 +272,14 @@ impl Dlock {
             DlockAlgo::Mcs => self.mcs_run(ctx, h, apply, op, arg, false),
             DlockAlgo::McsLease => self.mcs_run(ctx, h, apply, op, arg, true),
             DlockAlgo::Clh => self.clh_run(ctx, h, apply, op, arg),
-            DlockAlgo::Fc => self.fc_run(ctx, h, apply, op, arg, false),
-            DlockAlgo::FcLease => self.fc_run(ctx, h, apply, op, arg, true),
+            DlockAlgo::Fc => fc_call(ctx, &SpinLock::at(self.tail), h.node, op, arg, |ctx| {
+                self.fc_serve(ctx, h, apply, false)
+            }),
+            DlockAlgo::FcLease => {
+                fc_call(ctx, &LeasedLock::at(self.tail), h.node, op, arg, |ctx| {
+                    self.fc_serve(ctx, h, apply, true)
+                })
+            }
             DlockAlgo::CcSynch => self.cc_run(ctx, h, apply, op, arg),
         }
     }
@@ -269,9 +343,9 @@ impl Dlock {
         resp
     }
 
-    /// CLH with queue handoff: spin on the *predecessor's* node, recycle
-    /// it as ours on release — the pool never grows and waiting costs no
-    /// global traffic.
+    /// CLH: [`ClhLock`] on the tail word, enqueuing with the thread's
+    /// current pool node. Release recycles the predecessor's node as
+    /// ours, so the pool never grows.
     fn clh_run<A: CsApply>(
         &self,
         ctx: &mut ThreadCtx,
@@ -280,98 +354,33 @@ impl Dlock {
         op: u64,
         arg: u64,
     ) -> u64 {
-        let node = h.node;
-        ctx.write(node, 1);
-        let pred = Addr(ctx.xchg(self.tail, node.0));
-        while ctx.read(pred) != 0 {
-            ctx.work(SPIN_WORK);
-        }
+        let lock = ClhLock::at(self.tail);
+        let mut node = ClhHandle::with_node(h.node);
+        lock.lock(ctx, &mut node);
         let resp = apply.apply(ctx, op, arg);
         h.acquisitions += 1;
         h.combined += 1;
-        ctx.write(node, 0);
-        h.node = pred;
+        lock.unlock(ctx, &mut node);
+        h.node = node.node();
         resp
     }
 
-    /// Flat combining: publish the operation, then either observe it
-    /// served or win the combiner lock and serve the whole publication
-    /// list. `lease` holds the combiner word for the session and leases
-    /// each record while serving it, batching the response/handoff
-    /// invalidations the way §6 batches lock-word ownership.
-    fn fc_run<A: CsApply>(
+    /// Flat combining's serve step: apply every pending record of the
+    /// pool. `lease` is the `fc-lease` hybrid, which leases each record
+    /// while serving it (its combiner word is a [`LeasedLock`]).
+    fn fc_serve<A: CsApply>(
         &self,
         ctx: &mut ThreadCtx,
         h: &mut DlockHandle,
         apply: &A,
-        op: u64,
-        arg: u64,
         lease: bool,
-    ) -> u64 {
-        let rec = h.node;
-        ctx.write(rec.offset(FC_OP), op);
-        ctx.write(rec.offset(FC_ARG), arg);
-        ctx.write(rec.offset(FC_REQ), 1);
-        loop {
-            if ctx.read(rec.offset(FC_REQ)) == 2 {
-                let resp = ctx.read(rec.offset(FC_RESP));
-                ctx.write(rec.offset(FC_REQ), 0);
-                return resp;
-            }
-            let won = if lease {
-                ctx.lease_max(self.tail);
-                if ctx.xchg(self.tail, 1) == 0 {
-                    true
-                } else {
-                    // Contended: drop the lease at once (the §6 rule) so
-                    // the active combiner's unlock is not delayed.
-                    ctx.release(self.tail);
-                    false
-                }
-            } else {
-                ctx.read(self.tail) == 0 && ctx.xchg(self.tail, 1) == 0
-            };
-            if won {
-                if ctx.read(rec.offset(FC_REQ)) == 2 {
-                    // Served while we contended for the combiner word
-                    // (under leases, waiters queue for the whole
-                    // session): hand the lock straight back.
-                    ctx.write(self.tail, 0);
-                    if lease {
-                        ctx.release(self.tail);
-                    }
-                    let resp = ctx.read(rec.offset(FC_RESP));
-                    ctx.write(rec.offset(FC_REQ), 0);
-                    return resp;
-                }
-                h.acquisitions += 1;
-                for &r in &self.nodes {
-                    if lease {
-                        ctx.lease_max(r);
-                    }
-                    if ctx.read(r.offset(FC_REQ)) == 1 {
-                        let o = ctx.read(r.offset(FC_OP));
-                        let a = ctx.read(r.offset(FC_ARG));
-                        let resp = apply.apply(ctx, o, a);
-                        ctx.write(r.offset(FC_RESP), resp);
-                        ctx.write(r.offset(FC_REQ), 2);
-                        h.combined += 1;
-                    }
-                    if lease {
-                        ctx.release(r);
-                    }
-                }
-                ctx.write(self.tail, 0);
-                if lease {
-                    ctx.release(self.tail);
-                }
-                // Our own record was pending, so the scan served it.
-                let resp = ctx.read(rec.offset(FC_RESP));
-                ctx.write(rec.offset(FC_REQ), 0);
-                return resp;
-            }
-            ctx.work(SPIN_WORK);
-        }
+    ) {
+        h.acquisitions += 1;
+        fc_scan(ctx, &self.nodes, lease, |ctx, rec, op, arg| {
+            let resp = apply.apply(ctx, op, arg);
+            fc_respond(ctx, rec, resp);
+            h.combined += 1;
+        });
     }
 
     /// CCSynch: the enqueue chain *is* the combining queue. Swap a fresh
