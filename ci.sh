@@ -34,6 +34,18 @@ step() {
 step "cargo fmt --check"
 cargo fmt --all --check
 
+step "library crates forbid unsafe"
+# Every library crate, the façade included, carries the attribute, so
+# the compiler keeps `unsafe` out of the library and a new crate cannot
+# start without it. Test files (the counting allocators) are not
+# library code.
+for lib in src/lib.rs crates/*/src/lib.rs; do
+    if ! grep -qx '#!\[forbid(unsafe_code)\]' "$lib"; then
+        echo "$lib lacks #![forbid(unsafe_code)]"
+        exit 1
+    fi
+done
+
 step "cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -77,7 +89,7 @@ step "smoke sweep: every scenario recorded, 2 parallel jobs; every trace replaye
 # MachineStats must match the live run byte-for-byte (exit non-zero on
 # any divergence).
 TR_DIR=$(mktemp -d)
-LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
+cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
     --smoke --jobs 2 --record "$TR_DIR" > /dev/null
 # No pipe here: a pipeline would report tail's status, not the replay's.
 cargo run -q --release --offline -p lr-replay --bin lr-replay -- \
@@ -91,7 +103,7 @@ step "NUMA serving: the kilo-core cell, recorded and replayed"
 # too. It runs recorded, and its trace is replayed: the only check of
 # trace capture with 1024 workers.
 KC_DIR=$(mktemp -d)
-LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
+cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
     --scenario numa_serving --threads 1024 --ops 8 --series .s4 \
     --record "$KC_DIR" > /dev/null
 cargo run -q --release --offline -p lr-replay --bin lr-replay -- \

@@ -30,11 +30,9 @@ OPTIONS:
                          scenario in seconds
     --record DIR         Record every simulation as a trace file in DIR
                          (verify them with `lr-replay DIR`)
+    --json DIR           Write each scenario's rows to DIR/BENCH_<name>.json
+                         (DIR is created if missing; default: no JSON)
     -h, --help           This help
-
-ENVIRONMENT:
-    LR_JSON_DIR     directory for BENCH_*.json (default: workspace root)
-    LR_NO_JSON=1    disable the JSON export
 ";
 
 /// Per-thread ops for `--smoke`: small enough that all 16 scenarios
@@ -96,6 +94,7 @@ fn main() {
     let mut jobs: Option<usize> = None;
     let mut smoke = false;
     let mut record_dir: Option<String> = None;
+    let mut json_dir: Option<String> = None;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -128,6 +127,7 @@ fn main() {
             }
             "--smoke" => smoke = true,
             "--record" => record_dir = Some(value("--record")),
+            "--json" => json_dir = Some(value("--json")),
             other => fail(&format!("unknown argument {other:?}")),
         }
     }
@@ -177,7 +177,7 @@ fn main() {
         threads,
         ops,
         jobs: jobs.unwrap_or_else(default_jobs),
-        json: JsonPolicy::from_env(),
+        json: json_dir.map_or_else(JsonPolicy::disabled, JsonPolicy::in_dir),
         record_dir,
     };
     let plan = build_plan(&opts);

@@ -21,54 +21,30 @@ use std::io::Write;
 use std::path::PathBuf;
 
 /// Where (and whether) `BENCH_*.json` files are written. Resolved once
-/// per run — environment parsing, directory creation, and any warning
-/// happen exactly once, not per flush.
+/// per run — directory creation and any warning happen exactly once,
+/// not per flush.
 #[derive(Debug, Clone)]
 pub struct JsonPolicy {
     dir: Option<PathBuf>,
 }
 
 impl JsonPolicy {
-    /// No JSON files at all (used by tests and `LR_NO_JSON=1`).
+    /// No JSON files at all (`lr-bench` without `--json`, and tests).
     pub fn disabled() -> Self {
         JsonPolicy { dir: None }
     }
 
-    /// JSON files under `dir` (created if missing, canonicalized).
+    /// JSON files under `dir` (`lr-bench --json DIR`; created if
+    /// missing, canonicalized). An unusable directory warns once and
+    /// disables the export.
     pub fn in_dir(dir: impl Into<PathBuf>) -> Self {
         JsonPolicy {
             dir: Self::resolve(dir.into()),
         }
     }
 
-    /// Resolve from the environment, warning (once) on an unusable
-    /// target directory instead of once per flush:
-    ///
-    /// * `LR_NO_JSON=1` disables the export entirely;
-    /// * `LR_JSON_DIR` names the output directory (created if needed);
-    /// * otherwise the workspace root (via `CARGO_MANIFEST_DIR`, which
-    ///   cargo sets for `cargo run` targets), else cwd.
-    pub fn from_env() -> Self {
-        if std::env::var("LR_NO_JSON").is_ok_and(|v| v == "1") {
-            return JsonPolicy::disabled();
-        }
-        let dir = std::env::var("LR_JSON_DIR").unwrap_or_else(|_| {
-            match std::env::var("CARGO_MANIFEST_DIR") {
-                // Bin targets run with cwd = the package dir;
-                // default to the workspace root instead of scattering
-                // files under crates/bench/.
-                Ok(m) => format!("{m}/../.."),
-                Err(_) => ".".to_string(),
-            }
-        });
-        JsonPolicy {
-            dir: Self::resolve(PathBuf::from(dir)),
-        }
-    }
-
-    /// Create the directory if needed and canonicalize it (the old code
-    /// left `…/crates/bench/../..` paths in every message and failed
-    /// silently per-row when the directory didn't exist).
+    /// Create the directory if needed and canonicalize it, so every
+    /// message names one clean path.
     fn resolve(dir: PathBuf) -> Option<PathBuf> {
         if let Err(e) = std::fs::create_dir_all(&dir) {
             eprintln!(

@@ -12,17 +12,7 @@
 //! workload is a ~30-line registry entry there, not a new binary.
 
 use crate::harness::BenchRow;
-use lr_machine::Machine;
-use std::path::PathBuf;
-
-/// Where a cell's simulations dump their traces: a directory plus the
-/// cell's canonical label (`scenario.series.tN`), which the machine
-/// layer turns into a collision-free filename.
-#[derive(Debug, Clone)]
-pub struct RecordTo {
-    pub dir: PathBuf,
-    pub label: String,
-}
+use lr_machine::{Machine, TraceOutput};
 
 /// Inputs to one grid cell. The sweep driver threads the record
 /// directory through here explicitly — a recording sweep never mutates
@@ -36,8 +26,10 @@ pub struct CellCtx {
     pub threads: usize,
     /// Per-thread operation count.
     pub ops: u64,
-    /// Trace destination when the sweep records (`--record DIR`).
-    pub record: Option<RecordTo>,
+    /// Trace destination when the sweep records (`--record DIR`): the
+    /// directory plus the cell's canonical label (`scenario.series.tN`),
+    /// which the machine layer turns into a collision-free filename.
+    pub record: Option<TraceOutput>,
 }
 
 impl CellCtx {

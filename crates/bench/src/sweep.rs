@@ -7,8 +7,9 @@
 
 use crate::harness::{threads_sweep, BenchRow};
 use crate::report::{JsonPolicy, Report};
-use crate::scenario::{CellCtx, CellOut, RecordTo, Scenario};
+use crate::scenario::{CellCtx, CellOut, Scenario};
 use crate::scenarios;
+use lr_machine::TraceOutput;
 use lr_sim_core::SystemConfig;
 use std::io::Write;
 use std::path::PathBuf;
@@ -139,7 +140,7 @@ fn cell_ctx(plan: &Plan, c: &CellSpec) -> CellCtx {
         series: c.series,
         threads: c.threads,
         ops: c.ops,
-        record: plan.record_dir.as_ref().map(|dir| RecordTo {
+        record: plan.record_dir.as_ref().map(|dir| TraceOutput {
             dir: dir.clone(),
             label: format!(
                 "{}.{}.t{}",

@@ -10,7 +10,6 @@ use std::process::{Command, Output};
 fn bench(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_lr-bench"))
         .args(args)
-        .env("LR_NO_JSON", "1")
         .output()
         .expect("lr-bench subprocess runs")
 }

@@ -1,15 +1,14 @@
-//! Delegation-guarded data structures: a sequential structure whose
+//! A delegation-guarded data structure: a sequential array stack whose
 //! every operation runs under a [`Dlock`] critical section, published as
 //! an `(op, arg)` pair so a combiner (flat combining / CCSynch) can
 //! execute it on the owner's behalf.
 //!
-//! The structures here are deliberately *sequential* under the lock —
-//! an array stack and a plain counter — because that is the regime
-//! delegation is built for: one thread with the structure's lines hot in
-//! its cache applies a whole batch of operations, versus every thread
-//! dragging the lines across the NoC for a single operation. The
-//! `lock_showdown` scenario sweeps these against the paper's TTS and
-//! leased locks.
+//! The stack is deliberately *sequential* under the lock, because that
+//! is the regime delegation is built for: one thread with the
+//! structure's lines hot in its cache applies a whole batch of
+//! operations, versus every thread dragging the lines across the NoC
+//! for a single operation. The `lock_showdown` scenario sweeps it
+//! against the paper's TTS and leased locks.
 //!
 //! Everything (lock pools and the structure's storage) is pre-allocated
 //! at machine setup, so steady-state operation performs **zero**
@@ -123,52 +122,6 @@ impl DelegatedStack {
     }
 }
 
-/// The counter interpreter: `arg` is the FAA delta, the response is the
-/// pre-add value. Uses a real `faa` instruction (not read+write) so the
-/// cell stays compatible with the fuzz farm's FAA-only counter ledger.
-#[derive(Debug, Clone, Copy)]
-pub struct CounterApply {
-    cell: Addr,
-}
-
-impl CsApply for CounterApply {
-    fn apply(&self, ctx: &mut ThreadCtx, _op: u64, arg: u64) -> u64 {
-        ctx.faa(self.cell, arg)
-    }
-}
-
-/// A shared counter whose adds are delegated through a [`Dlock`] — the
-/// lock-based counter of Figure 3, under delegation instead of TTS.
-#[derive(Debug, Clone)]
-pub struct DelegatedCounter {
-    pub lock: Dlock,
-    apply: CounterApply,
-}
-
-impl DelegatedCounter {
-    pub fn init(mem: &mut SimMemory, algo: DlockAlgo, max_threads: usize) -> Self {
-        let cell = mem.alloc_line_aligned(8);
-        DelegatedCounter {
-            lock: Dlock::init(mem, algo, max_threads),
-            apply: CounterApply { cell },
-        }
-    }
-
-    pub fn handle(&self, tid: usize) -> DlockHandle {
-        self.lock.handle(tid)
-    }
-
-    /// Add `delta` under the lock, returning the pre-add value.
-    pub fn add(&self, ctx: &mut ThreadCtx, h: &mut DlockHandle, delta: u64) -> u64 {
-        self.lock.run(ctx, h, &self.apply, 0, delta)
-    }
-
-    /// The counter cell (for host-side final-value checks).
-    pub fn cell(&self) -> Addr {
-        self.apply.cell
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,34 +129,6 @@ mod tests {
     use lr_sync::DLOCK_ALGOS;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-
-    #[test]
-    fn delegated_counter_sums_under_every_algorithm() {
-        let (threads, per) = (4, 16u64);
-        for algo in DLOCK_ALGOS {
-            let mut m = Machine::new(SystemConfig::with_cores(threads));
-            let c = m.setup(|mem| DelegatedCounter::init(mem, algo, threads));
-            let cell = c.cell();
-            let progs: Vec<ThreadFn> = (0..threads)
-                .map(|tid| {
-                    let c = c.clone();
-                    Box::new(move |ctx: &mut ThreadCtx| {
-                        let mut h = c.handle(tid);
-                        for _ in 0..per {
-                            c.add(ctx, &mut h, 3);
-                        }
-                    }) as ThreadFn
-                })
-                .collect();
-            let (_, mem) = m.run_with_memory(progs);
-            assert_eq!(
-                mem.read_word(cell),
-                threads as u64 * per * 3,
-                "{}: lost adds",
-                algo.name()
-            );
-        }
-    }
 
     #[test]
     fn delegated_stack_conserves_elements() {

@@ -14,7 +14,7 @@
 //! | Hash table | [`hashtable`] | per-bucket lock / leased lock |
 //! | Binary search tree | [`bst`] | base / leased |
 //! | Sequential skiplist | [`seq_skiplist`] | (substrate for locks/MultiQueues) |
-//! | Delegated stack/counter | [`delegated`] | MCS / CLH / FC / CCSynch (+lease hybrids) |
+//! | Delegated stack | [`delegated`] | MCS / CLH / FC / CCSynch (+lease hybrids) |
 //! | Replicated counter/KV (node replication) | [`replicated`] | plain MSI / lease hybrid |
 
 #![forbid(unsafe_code)]
@@ -33,9 +33,7 @@ pub mod stack;
 pub mod two_lock_queue;
 
 pub use bst::Bst;
-pub use delegated::{
-    CounterApply, DelegatedCounter, DelegatedStack, StackApply, STACK_EMPTY, STACK_POP, STACK_PUSH,
-};
+pub use delegated::{DelegatedStack, StackApply, STACK_EMPTY, STACK_POP, STACK_PUSH};
 pub use harris_list::HarrisList;
 pub use hashtable::HashTable;
 pub use multiqueue::{MqVariant, MultiQueue};

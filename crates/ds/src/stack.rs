@@ -73,52 +73,6 @@ impl TreiberStack {
         }
     }
 
-    /// Site id for the adaptive push lease (stands in for the PC).
-    pub const SITE_PUSH: u64 = 0x57ac_0001;
-    /// Site id for the adaptive pop lease.
-    pub const SITE_POP: u64 = 0x57ac_0002;
-
-    /// Push with *adaptive* leasing (paper §5 "Speculative Execution"):
-    /// the per-thread predictor suppresses the head lease if it keeps
-    /// expiring involuntarily.
-    pub fn push_adaptive(&self, ctx: &mut ThreadCtx, al: &mut lr_lease::AdaptiveLease, v: u64) {
-        let node = Self::new_node(ctx, v);
-        loop {
-            let time = ctx.max_lease_time();
-            let took = al.lease(ctx, Self::SITE_PUSH, self.head, time);
-            let h = ctx.read(self.head);
-            ctx.write(node.offset(NEXT), h);
-            let ok = ctx.cas(self.head, h, node.0);
-            al.release(ctx, Self::SITE_PUSH, self.head, took);
-            if ok {
-                return;
-            }
-        }
-    }
-
-    /// Pop with adaptive leasing; see [`TreiberStack::push_adaptive`].
-    pub fn pop_adaptive(
-        &self,
-        ctx: &mut ThreadCtx,
-        al: &mut lr_lease::AdaptiveLease,
-    ) -> Option<u64> {
-        loop {
-            let time = ctx.max_lease_time();
-            let took = al.lease(ctx, Self::SITE_POP, self.head, time);
-            let h = ctx.read(self.head);
-            if h == 0 {
-                al.release(ctx, Self::SITE_POP, self.head, took);
-                return None;
-            }
-            let next = ctx.read(Addr(h).offset(NEXT));
-            let ok = ctx.cas(self.head, h, next);
-            al.release(ctx, Self::SITE_POP, self.head, took);
-            if ok {
-                return Some(ctx.read(Addr(h).offset(VAL)));
-            }
-        }
-    }
-
     /// Pop, returning the value, or `None` if the stack is empty.
     pub fn pop(&self, ctx: &mut ThreadCtx) -> Option<u64> {
         let mut backoff = Backoff::contended();

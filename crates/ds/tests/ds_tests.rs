@@ -85,42 +85,6 @@ fn stack_is_lifo_single_thread() {
     }) as ThreadFn]);
 }
 
-#[test]
-fn stack_adaptive_semantics_and_suppression() {
-    // Healthy lease time: adaptive behaves like leased (no suppression).
-    let n = 4;
-    let per = 25u64;
-    let mut m = Machine::new(cfg(n));
-    let s = m.setup(|mem| TreiberStack::init(mem, StackVariant::Leased));
-    let popped = Arc::new(Mutex::new(Vec::<u64>::new()));
-    let progs: Vec<ThreadFn> = (0..n)
-        .map(|tid| {
-            let popped = popped.clone();
-            Box::new(move |ctx: &mut ThreadCtx| {
-                let mut al = lr_lease::AdaptiveLease::default();
-                let base = (tid as u64 + 1) * 1000;
-                let mut mine = Vec::new();
-                for i in 0..per {
-                    s.push_adaptive(ctx, &mut al, base + i);
-                    if let Some(v) = s.pop_adaptive(ctx, &mut al) {
-                        mine.push(v);
-                    }
-                }
-                assert!(
-                    !al.predictor().is_suppressed(TreiberStack::SITE_PUSH),
-                    "healthy site wrongly suppressed"
-                );
-                popped.lock().unwrap().extend(mine);
-            }) as ThreadFn
-        })
-        .collect();
-    let stats = m.run(progs);
-    assert_eq!(stats.core_totals().cas_failures, 0);
-    let popped = popped.lock().unwrap();
-    let unique: HashSet<u64> = popped.iter().copied().collect();
-    assert_eq!(unique.len(), popped.len());
-}
-
 // ---------------------------------------------------------------- queue
 
 fn queue_fifo_per_producer(variant: QueueVariant) {

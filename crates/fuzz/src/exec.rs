@@ -277,27 +277,13 @@ pub fn record_workload(w: &Workload, variant: Variant) -> Result<RunOutput, Stri
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
         machine.run_recorded(progs)
     }))
-    .map_err(|p| {
-        let msg = p
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        format!("live run panicked: {msg}")
-    })?;
+    .map_err(|p| format!("live run panicked: {}", panic_msg(p)))?;
     // `final_value` panics if any replica diverged from its applied log
     // prefix; fold that into a live-abort finding, not a farm crash.
     let replicated = match repl.as_ref() {
         Some(rc) => Some(
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rc.final_value(&run.mem)))
-                .map_err(|p| {
-                    let msg = p
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    format!("replica consistency check panicked: {msg}")
-                })?,
+                .map_err(|p| format!("replica consistency check panicked: {}", panic_msg(p)))?,
         ),
         None => None,
     };
@@ -312,9 +298,18 @@ pub fn record_workload(w: &Workload, variant: Variant) -> Result<RunOutput, Stri
     })
 }
 
+/// A panic payload's message, for folding a panic into a finding.
+fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 /// Run every check for one (workload, variant) pair, ending with one
-/// replay verification of its trace.
-pub fn check_variant(w: &Workload, variant: Variant) -> Result<(), Finding> {
+/// replay verification of its trace, and hand the checked trace back.
+pub fn check_variant(w: &Workload, variant: Variant) -> Result<MachineTrace, Finding> {
     let finding = |kind: &'static str, detail: String| Finding {
         seed: w.seed,
         variant: variant.name(),
@@ -353,7 +348,7 @@ pub fn check_variant(w: &Workload, variant: Variant) -> Result<(), Finding> {
         ));
     }
     lr_replay::verify(&out.trace).map_err(|d| finding("divergence", d.to_string()))?;
-    Ok(())
+    Ok(out.trace)
 }
 
 /// Trace-encoding robustness probe: the encoder must round-trip, and a
@@ -427,20 +422,20 @@ pub struct SeedReport {
 }
 
 /// Run the full check matrix for one workload: every [`Variant`],
-/// replay verification, ledger/app-ops invariants, encoding robustness,
-/// and (on every eighth seed) a record-twice determinism check.
+/// replay verification, ledger/app-ops invariants, encoding robustness
+/// of the MSI recording, and (on every eighth seed) a record-twice
+/// determinism check against it.
 pub fn check_workload(w: &Workload) -> Result<SeedReport, Finding> {
     let seed = w.seed;
+    let mut msi = None;
     for v in VARIANTS {
-        check_variant(w, v)?;
+        let trace = check_variant(w, v)?;
+        if v == Variant::Msi {
+            msi = Some(trace);
+        }
     }
-    let out = record_workload(w, Variant::Msi).map_err(|e| Finding {
-        seed,
-        variant: "msi",
-        kind: "live-abort",
-        detail: e,
-    })?;
-    check_encoding(w, &out.trace)?;
+    let msi = msi.expect("VARIANTS includes MSI");
+    check_encoding(w, &msi)?;
     if seed.is_multiple_of(8) {
         let again = record_workload(w, Variant::Msi).map_err(|e| Finding {
             seed,
@@ -448,7 +443,7 @@ pub fn check_workload(w: &Workload) -> Result<SeedReport, Finding> {
             kind: "live-abort",
             detail: e,
         })?;
-        if tracefmt::encode(&again.trace) != tracefmt::encode(&out.trace) {
+        if tracefmt::encode(&again.trace) != tracefmt::encode(&msi) {
             return Err(Finding {
                 seed,
                 variant: "msi",

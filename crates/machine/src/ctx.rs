@@ -100,9 +100,9 @@ impl ThreadCtx {
     }
 
     /// Mark a barrier crossing in the trace of a recorded run: the
-    /// engine appends a `Barrier` record and acknowledges at once. The
-    /// marker schedules no event, counts no instruction and moves no
-    /// clock; unrecorded runs send nothing. The replayer skips markers;
+    /// recorder at the engine's input appends a `Barrier` record and
+    /// acknowledges at once. The marker schedules no event, counts no
+    /// instruction and moves no clock; unrecorded runs send nothing. The replayer skips markers;
     /// tools use them to delimit phases.
     pub(crate) fn note_barrier(&mut self) {
         if self.marks_barriers {

@@ -27,6 +27,8 @@
 //! * Cores are blocking and in-order (as in the paper's Graphite setup),
 //!   with one outstanding miss.
 
+#![forbid(unsafe_code)]
+
 mod barrier;
 mod ctx;
 mod machine;

@@ -59,6 +59,11 @@ pub type ThreadFn = Box<dyn FnOnce(&mut ThreadCtx) + Send + 'static>;
 /// each core's own `next`/`observe` alternation is in that core's
 /// program order, so sources key their state by `tid`.
 ///
+/// A source never yields an [`Op::Barrier`] marker: markers live only in
+/// recorded traces. A recording run logs and acknowledges them at the
+/// engine's input, before the engine would see them, and the replayer
+/// skips them.
+///
 /// Not `Send`: the engine drives a source from the one thread that runs
 /// the event loop.
 pub trait OpSource {
@@ -78,9 +83,8 @@ pub struct SourceAbort {
     pub report: String,
 }
 
-/// What a run hands back: stats, final memory, engine info, and the
-/// captured trace when the run recorded.
-type RunOutput = (MachineStats, SimMemory, EngineInfo, Option<MachineTrace>);
+/// What a run hands back: stats, final memory and engine info.
+type RunOutput = (MachineStats, SimMemory, EngineInfo);
 
 /// Result of [`Machine::run_recorded`]: the usual run outputs plus the
 /// captured trace, ready for [`tracefmt::encode`].
@@ -163,6 +167,57 @@ impl OpSource for Workers {
         self.reply_tx[tid]
             .send(reply)
             .map_err(|_| format!("core {tid}: worker hung up before receiving its reply"))
+    }
+}
+
+/// Trace capture at the engine's input: the live workers as the engine
+/// sees them in a recording run. It runs on the engine thread, so
+/// workers allocate nothing for the trace. `next` logs each request as
+/// an [`OpRecord`] (all but a panicked worker's `Exit`, whose run fails
+/// anyway) and `observe` fills in the logged op's reply. A barrier
+/// marker is logged and acknowledged here, and the wait goes on: the
+/// engine never sees one.
+struct Recorder<'a> {
+    workers: &'a mut Workers,
+    /// One op stream per core.
+    cores: Vec<Vec<OpRecord>>,
+}
+
+impl OpSource for Recorder<'_> {
+    fn next(&mut self, tid: usize) -> Result<Request, String> {
+        loop {
+            let r = self.workers.next(tid)?;
+            if !matches!(r.op, Op::Exit { panicked: true, .. }) {
+                // Markers and Exit keep this reply; ops get theirs in
+                // observe.
+                self.cores[tid].push(OpRecord {
+                    at: r.at,
+                    op: r.op.to_trace(),
+                    reply_time: r.at,
+                    reply_value: 0,
+                    reply_flag: false,
+                });
+            }
+            if !matches!(r.op, Op::Barrier) {
+                return Ok(r);
+            }
+            let ack = Reply {
+                time: r.at,
+                value: 0,
+                flag: false,
+            };
+            self.workers.observe(tid, ack)?;
+        }
+    }
+
+    fn observe(&mut self, tid: usize, reply: Reply) -> Result<(), String> {
+        let rec = self.cores[tid]
+            .last_mut()
+            .expect("a recorded op awaits its reply");
+        rec.reply_time = reply.time;
+        rec.reply_value = reply.value;
+        rec.reply_flag = reply.flag;
+        self.workers.observe(tid, reply)
     }
 }
 
@@ -564,8 +619,7 @@ impl Machine {
         self,
         programs: Vec<ThreadFn>,
     ) -> (MachineStats, SimMemory, EngineInfo) {
-        let (stats, mem, info, _) = self.run_live(programs, false);
-        (stats, mem, info)
+        self.run_live(programs, false).0
     }
 
     /// Like [`Machine::run_counted_info`], additionally capturing every
@@ -573,7 +627,7 @@ impl Machine {
     /// plus a pre-run memory snapshot, as a [`MachineTrace`] ready for
     /// [`tracefmt::encode`] and later engine-only replay.
     pub fn run_recorded(self, programs: Vec<ThreadFn>) -> RecordedRun {
-        let (stats, mem, info, trace) = self.run_live(programs, true);
+        let ((stats, mem, info), trace) = self.run_live(programs, true);
         RecordedRun {
             stats,
             mem,
@@ -593,33 +647,55 @@ impl Machine {
         threads: usize,
         source: &mut dyn OpSource,
     ) -> Result<(MachineStats, SimMemory, u64), Box<SourceAbort>> {
-        let (stats, mem, info, _) = self.run_inner(threads, source, false)?;
+        let (stats, mem, info) = self.run_inner(threads, source)?;
         Ok((stats, mem, info.events))
     }
 
     /// Run `programs` on live workers and join them. The run records
-    /// when `record` asks for it or a trace output is configured.
-    /// Panics with the failure report if the run fails.
-    fn run_live(self, programs: Vec<ThreadFn>, record: bool) -> RunOutput {
-        let record = record || self.trace_out.is_some();
+    /// when `record` asks for it or a trace output is configured: a
+    /// [`Recorder`] stands between the workers and the engine, and the
+    /// trace is assembled, and written to the trace output, once the
+    /// run ends. Panics with the failure report if the run fails.
+    fn run_live(
+        mut self,
+        programs: Vec<ThreadFn>,
+        record: bool,
+    ) -> (RunOutput, Option<MachineTrace>) {
+        let trace_out = self.trace_out.take();
+        let record = record || trace_out.is_some();
         let n = programs.len();
         let mut workers = Workers::spawn(programs, &self.cfg, record);
-        let res = self.run_inner(n, &mut workers, record);
+        let res = if record {
+            // The replayer restores this exact image before re-driving
+            // ops, so it must be taken before any simulated execution.
+            let (config, pre_image) = (self.cfg.clone(), self.mem.snapshot());
+            let mut rec = Recorder {
+                workers: &mut workers,
+                cores: vec![Vec::new(); n],
+            };
+            self.run_inner(n, &mut rec).map(|(stats, mem, info)| {
+                let trace = MachineTrace {
+                    config,
+                    mem: pre_image,
+                    cores: rec.cores,
+                    stats_json: stats.to_json(),
+                    live_events: info.events,
+                };
+                if let Some(out) = &trace_out {
+                    write_trace_file(out, &trace);
+                }
+                ((stats, mem, info), Some(trace))
+            })
+        } else {
+            self.run_inner(n, &mut workers).map(|out| (out, None))
+        };
         workers.join();
         res.unwrap_or_else(|abort| panic!("{}", abort.report))
     }
 
-    /// Drive `n` cores from `source` to completion. A recording run
-    /// captures the trace and writes it to the configured trace output.
-    fn run_inner(
-        self,
-        n: usize,
-        source: &mut dyn OpSource,
-        record: bool,
-    ) -> Result<RunOutput, Box<SourceAbort>> {
-        let trace_depth = self.trace_depth;
-        let trace_out = self.trace_out;
-        let cfg = self.cfg;
+    /// Drive `n` cores from `source` to completion.
+    fn run_inner(self, n: usize, source: &mut dyn OpSource) -> Result<RunOutput, Box<SourceAbort>> {
+        let (cfg, mem) = (self.cfg, self.mem);
         assert!(n >= 1, "no workload threads");
         assert!(
             n <= cfg.num_cores,
@@ -628,14 +704,10 @@ impl Machine {
         );
 
         let engine = CoherenceEngine::new(&cfg);
-        let mem = self.mem;
-        // The replayer restores this exact image before re-driving ops,
-        // so it must be taken before any simulated execution.
-        let pre_image = record.then(|| mem.snapshot());
         let mut ms = MachineState {
             queue: ShardedQueue::new(cfg.num_cores),
             leases: LeaseController::new(cfg.num_cores, &cfg.lease),
-            trace: TraceRing::new(trace_depth),
+            trace: TraceRing::new(self.trace_depth),
             base: 0,
             tile: 0,
             completions: Vec::new(),
@@ -660,7 +732,6 @@ impl Machine {
             exit_ops: vec![0u64; n],
             panicked: Vec::new(),
             alloc_msgs: 0,
-            records: record.then(|| vec![Vec::new(); n]),
         };
 
         // Any failure inside the event loop — watchdog trip, protocol
@@ -688,7 +759,6 @@ impl Machine {
             return Err(Box::new(SourceAbort { reason, report }));
         }
         let EngineCore {
-            cfg,
             engine,
             ms,
             mem,
@@ -696,7 +766,6 @@ impl Machine {
             exit_inst,
             exit_ops,
             alloc_msgs,
-            records,
             ..
         } = core;
 
@@ -712,21 +781,7 @@ impl Machine {
             c.instructions += exit_inst[tid];
             c.merge(ms.leases.counters(CoreId(tid as u16)));
         }
-
-        let trace = records.map(|cores| {
-            let trace = MachineTrace {
-                config: cfg.clone(),
-                mem: pre_image.expect("snapshot taken when recording"),
-                cores,
-                stats_json: stats.to_json(),
-                live_events: info.events,
-            };
-            if let Some(out) = &trace_out {
-                write_trace_file(out, &trace);
-            }
-            trace
-        });
-        Ok((stats, mem, info, trace))
+        Ok((stats, mem, info))
     }
 }
 
@@ -735,7 +790,7 @@ impl Machine {
 ///
 /// Every event goes through [`EngineCore::apply`], and applying an
 /// event touches only state owned by the event's tile: its engine
-/// slices, its core's leases/pending slot/op stream.
+/// slices, its core's leases and pending slot.
 /// Cross-tile effects ride queued messages.
 struct EngineCore<'a> {
     cfg: SystemConfig,
@@ -754,10 +809,6 @@ struct EngineCore<'a> {
     /// `Ev::MemReq` events (heap ops routed to the allocator home tile)
     /// applied; reported as [`EngineInfo::alloc_msgs`].
     alloc_msgs: u64,
-    /// The trace being captured, one op stream per core, when the run
-    /// records: each received op is appended here and its reply filled
-    /// in as it is sent, so workers allocate nothing for it.
-    records: Option<Vec<Vec<OpRecord>>>,
 }
 
 impl EngineCore<'_> {
@@ -902,61 +953,31 @@ impl EngineCore<'_> {
     /// received on the engine thread, so each rendezvous slot keeps one
     /// receiver thread for its whole life (the slot's pinned-consumer
     /// requirement).
-    ///
-    /// A recording run appends every received op to `tid`'s trace
-    /// stream (all but the `Exit` of a panicked worker). A barrier
-    /// marker is recorded and acknowledged here, and the wait goes on.
     fn await_request(&mut self, tid: usize, t: Cycle) -> Result<(), String> {
-        loop {
-            let r = self.source.next(tid)?;
-            debug_assert_eq!(r.tid, tid);
-            if let Some(records) = &mut self.records {
-                if !matches!(r.op, Op::Exit { panicked: true, .. }) {
-                    // Markers and Exit keep this reply; ops get theirs
-                    // in complete_op.
-                    records[tid].push(OpRecord {
-                        at: r.at,
-                        op: r.op.to_trace(),
-                        reply_time: r.at,
-                        reply_value: 0,
-                        reply_flag: false,
-                    });
+        let r = self.source.next(tid)?;
+        debug_assert_eq!(r.tid, tid);
+        match r.op {
+            Op::Exit {
+                instructions,
+                ops,
+                at,
+                panicked: p,
+            } => {
+                self.live -= 1;
+                self.exit_inst[tid] = instructions;
+                self.exit_ops[tid] = ops;
+                self.finish_time = self.finish_time.max(at);
+                if p {
+                    self.panicked.push(tid);
                 }
             }
-            match r.op {
-                Op::Barrier => {
-                    self.source.observe(
-                        tid,
-                        Reply {
-                            time: r.at,
-                            value: 0,
-                            flag: false,
-                        },
-                    )?;
-                    continue;
-                }
-                Op::Exit {
-                    instructions,
-                    ops,
-                    at,
-                    panicked: p,
-                } => {
-                    self.live -= 1;
-                    self.exit_inst[tid] = instructions;
-                    self.exit_ops[tid] = ops;
-                    self.finish_time = self.finish_time.max(at);
-                    if p {
-                        self.panicked.push(tid);
-                    }
-                }
-                op => {
-                    debug_assert!(self.pending[tid].is_none());
-                    self.pending[tid] = Some(Pending::Incoming(op));
-                    self.ms.queue.push(tid, t, tid, r.at, Ev::OpStart(tid));
-                }
+            op => {
+                debug_assert!(self.pending[tid].is_none());
+                self.pending[tid] = Some(Pending::Incoming(op));
+                self.ms.queue.push(tid, t, tid, r.at, Ev::OpStart(tid));
             }
-            return Ok(());
         }
+        Ok(())
     }
 
     /// Immediate completion with a precomputed result after `delay`.
@@ -1054,7 +1075,8 @@ impl EngineCore<'_> {
             }
             Op::Malloc { size, align } => self.heap_request(tid, t, HeapOp::Malloc { size, align }),
             Op::Free(a) => self.heap_request(tid, t, HeapOp::Free(a)),
-            Op::Exit { .. } | Op::Barrier => unreachable!("{op:?} handled in await_request"),
+            Op::Exit { .. } => unreachable!("Exit handled in await_request"),
+            Op::Barrier => unreachable!("an op source yielded a barrier marker"),
         }
         self.drain(t);
     }
@@ -1143,14 +1165,6 @@ impl EngineCore<'_> {
             Pending::Incoming(_) => unreachable!("completion before start"),
         };
         self.engine.core_stats_mut(core).mem_stall_cycles += t - issued;
-        if let Some(records) = &mut self.records {
-            let rec = records[tid]
-                .last_mut()
-                .expect("a recorded op awaits its reply");
-            rec.reply_time = t;
-            rec.reply_value = value;
-            rec.reply_flag = flag;
-        }
         self.source.observe(
             tid,
             Reply {

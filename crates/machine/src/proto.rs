@@ -84,9 +84,10 @@ pub enum Op {
     /// Heap free.
     Free(Addr),
     /// A barrier crossing in a recorded run
-    /// ([`SimBarrier`](crate::SimBarrier)): the engine appends a
-    /// `Barrier` trace record and acknowledges at once. It schedules no
-    /// event, counts no instruction and moves no clock.
+    /// ([`SimBarrier`](crate::SimBarrier)): the recorder at the
+    /// engine's input appends a `Barrier` trace record and acknowledges
+    /// at once, so the engine never sees it. It schedules no event,
+    /// counts no instruction and moves no clock.
     Barrier,
     /// The worker's closure finished (normally or by panic).
     Exit {
@@ -102,9 +103,9 @@ pub enum Op {
 }
 
 impl Op {
-    /// Trace-format mirror of this op, as the engine records it when it
-    /// receives the op. Every variant has one; `Exit` carries its
-    /// counters.
+    /// Trace-format mirror of this op, as a recording run logs it when
+    /// the engine receives the op. Every variant has one; `Exit` carries
+    /// its counters.
     pub fn to_trace(&self) -> TraceOp {
         match *self {
             Op::Read(a) => TraceOp::Read(a),

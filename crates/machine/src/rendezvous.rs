@@ -26,11 +26,14 @@
 //!   immediately before its sender drops); subsequent operations
 //!   return [`Closed`], and a parked receiver is woken so nobody hangs
 //!   on a slot that can never be filled again.
+//!
+//! The slot is safe code. The value sits in a `Mutex<Option<T>>` that
+//! the state byte keeps uncontended: the sender fills it before it
+//! publishes `FULL`, and the receiver empties it before it publishes
+//! `EMPTY`. The waiter's thread handle sits in a `OnceLock`.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::Thread;
 
 /// The peer endpoint was dropped (and no value remains to drain).
@@ -41,6 +44,10 @@ const EMPTY: u8 = 0;
 const FULL: u8 = 1;
 /// The consumer is parked (or about to park) waiting for a value.
 const WAITING: u8 = 2;
+
+/// Why locking the value cell cannot fail: nothing that holds it can
+/// panic (it only moves a value in or out).
+const UNPOISONED: &str = "the slot's value cell is never held across a panic";
 
 /// Pure-spin iterations before yielding. Only useful on multicore
 /// hosts (the peer must be able to run *while* we spin); covers the
@@ -104,28 +111,13 @@ fn spin_rounds() -> u32 {
 struct Inner<T> {
     state: AtomicU8,
     closed: AtomicBool,
-    value: UnsafeCell<MaybeUninit<T>>,
-    /// Consumer thread handle, written once by the receiver before its
-    /// first transition to `WAITING`; read by the sender only after
-    /// observing `WAITING` (the CAS/swap pair orders the accesses).
-    waiter: UnsafeCell<Option<Thread>>,
-}
-
-// The value cell is accessed under the `state` protocol (single
-// producer, single consumer, handoff ordered by the atomic); the waiter
-// cell is written before `WAITING` is ever published and read only
-// after observing it.
-unsafe impl<T: Send> Send for Inner<T> {}
-unsafe impl<T: Send> Sync for Inner<T> {}
-
-impl<T> Drop for Inner<T> {
-    fn drop(&mut self) {
-        if *self.state.get_mut() == FULL {
-            // A value was sent but never taken (e.g. the receiver side
-            // unwound): drop it with the cell.
-            unsafe { (*self.value.get()).assume_init_drop() };
-        }
-    }
+    /// The value in flight: filled before `FULL` is published, emptied
+    /// before `EMPTY` is.
+    value: Mutex<Option<T>>,
+    /// Consumer thread handle, set by the receiver before its first
+    /// transition to `WAITING`; read by the sender only after observing
+    /// `WAITING` (the CAS/swap pair orders the accesses).
+    waiter: OnceLock<Thread>,
 }
 
 /// Producer endpoint of a rendezvous [`slot`].
@@ -136,13 +128,10 @@ pub struct SlotSender<T> {
 /// Consumer endpoint of a rendezvous [`slot`].
 pub struct SlotReceiver<T> {
     inner: Arc<Inner<T>>,
-    registered: bool,
     /// Adaptive yield budget (see [`YIELD_MAX`]).
     budget: u32,
     /// Upper bound for `budget` (see [`SlotReceiver::with_yield_cap`]).
     cap: u32,
-    #[cfg(debug_assertions)]
-    home: Option<std::thread::ThreadId>,
 }
 
 /// A new rendezvous slot: one producer, one consumer, one value.
@@ -150,8 +139,8 @@ pub fn slot<T: Send>() -> (SlotSender<T>, SlotReceiver<T>) {
     let inner = Arc::new(Inner {
         state: AtomicU8::new(EMPTY),
         closed: AtomicBool::new(false),
-        value: UnsafeCell::new(MaybeUninit::uninit()),
-        waiter: UnsafeCell::new(None),
+        value: Mutex::new(None),
+        waiter: OnceLock::new(),
     });
     (
         SlotSender {
@@ -159,11 +148,8 @@ pub fn slot<T: Send>() -> (SlotSender<T>, SlotReceiver<T>) {
         },
         SlotReceiver {
             inner,
-            registered: false,
             budget: YIELD_INIT,
             cap: YIELD_MAX,
-            #[cfg(debug_assertions)]
-            home: None,
         },
     )
 }
@@ -178,16 +164,19 @@ impl<T: Send> SlotSender<T> {
         if inner.closed.load(Ordering::Acquire) {
             return Err(Closed);
         }
-        unsafe { (*inner.value.get()).write(v) };
+        // The guard drops at the end of the statement, before FULL is
+        // published, so the receiver never waits for the lock.
+        *inner.value.lock().expect(UNPOISONED) = Some(v);
         match inner.state.swap(FULL, Ordering::SeqCst) {
             EMPTY => Ok(()),
             WAITING => {
-                // The write of `waiter` happened before the consumer
-                // published WAITING; our swap observed WAITING, so the
-                // handle is visible.
-                let t = unsafe { (*inner.waiter.get()).clone() }
-                    .expect("WAITING state without a registered consumer");
-                t.unpark();
+                // The consumer set `waiter` before it published WAITING;
+                // our swap observed WAITING, so the handle is visible.
+                inner
+                    .waiter
+                    .get()
+                    .expect("WAITING state without a registered consumer")
+                    .unpark();
                 Ok(())
             }
             _ => panic!("rendezvous violation: send into a full slot"),
@@ -200,7 +189,7 @@ impl<T> Drop for SlotSender<T> {
         let inner = &*self.inner;
         inner.closed.store(true, Ordering::SeqCst);
         if inner.state.load(Ordering::SeqCst) == WAITING {
-            if let Some(t) = unsafe { (*inner.waiter.get()).clone() } {
+            if let Some(t) = inner.waiter.get() {
                 t.unpark();
             }
         }
@@ -292,29 +281,22 @@ impl<T: Send> SlotReceiver<T> {
     }
 
     /// Register the consumer thread handle (once; see module contract).
-    fn register(&mut self) {
-        #[cfg(debug_assertions)]
-        {
-            let me = std::thread::current().id();
-            match self.home {
-                None => self.home = Some(me),
-                Some(h) => {
-                    debug_assert_eq!(h, me, "SlotReceiver migrated threads between recv() calls")
-                }
-            }
-        }
-        if !self.registered {
-            unsafe { *self.inner.waiter.get() = Some(std::thread::current()) };
-            self.registered = true;
-        }
+    fn register(&self) {
+        let waiter = self.inner.waiter.get_or_init(std::thread::current);
+        debug_assert_eq!(
+            waiter.id(),
+            std::thread::current().id(),
+            "SlotReceiver migrated threads between recv() calls"
+        );
     }
 
     fn take(&self) -> T {
-        // state == FULL: the producer's value write happens-before the
-        // Acquire/SeqCst load that observed it.
-        let v = unsafe { (*self.inner.value.get()).assume_init_read() };
+        // state == FULL: the producer filled the cell before the
+        // Acquire/SeqCst load that observed it. The guard drops before
+        // EMPTY is published, so the next send never waits for it.
+        let v = self.inner.value.lock().expect(UNPOISONED).take();
         self.inner.state.store(EMPTY, Ordering::Release);
-        v
+        v.expect("a FULL slot holds a value")
     }
 }
 

@@ -7,6 +7,8 @@
 //! Start with [`machine::Machine`] and the [`machine::ThreadCtx`]
 //! simulated-instruction API; see `examples/quickstart.rs`.
 
+#![forbid(unsafe_code)]
+
 pub use lr_apps as apps;
 pub use lr_coherence as coherence;
 pub use lr_ds as ds;
