@@ -143,6 +143,11 @@ fn main() {
             ))
         });
     }
+    let json = match json_dir {
+        None => JsonPolicy::disabled(),
+        Some(dir) => JsonPolicy::in_dir(&dir)
+            .unwrap_or_else(|e| fail(&format!("cannot create --json dir {dir}: {e}"))),
+    };
 
     let selected: Vec<&'static Scenario> = match &scenario_filter {
         None => registry().to_vec(),
@@ -177,7 +182,7 @@ fn main() {
         threads,
         ops,
         jobs: jobs.unwrap_or_else(default_jobs),
-        json: json_dir.map_or_else(JsonPolicy::disabled, JsonPolicy::in_dir),
+        json,
         record_dir,
     };
     let plan = build_plan(&opts);

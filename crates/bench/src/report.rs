@@ -21,8 +21,7 @@ use std::io::Write;
 use std::path::PathBuf;
 
 /// Where (and whether) `BENCH_*.json` files are written. Resolved once
-/// per run — directory creation and any warning happen exactly once,
-/// not per flush.
+/// per run: the directory is created once, not per flush.
 #[derive(Debug, Clone)]
 pub struct JsonPolicy {
     dir: Option<PathBuf>,
@@ -34,35 +33,15 @@ impl JsonPolicy {
         JsonPolicy { dir: None }
     }
 
-    /// JSON files under `dir` (`lr-bench --json DIR`; created if
-    /// missing, canonicalized). An unusable directory warns once and
-    /// disables the export.
-    pub fn in_dir(dir: impl Into<PathBuf>) -> Self {
-        JsonPolicy {
-            dir: Self::resolve(dir.into()),
-        }
-    }
-
-    /// Create the directory if needed and canonicalize it, so every
-    /// message names one clean path.
-    fn resolve(dir: PathBuf) -> Option<PathBuf> {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!(
-                "warning: cannot create JSON dir {}: {e}; JSON export disabled",
-                dir.display()
-            );
-            return None;
-        }
-        match dir.canonicalize() {
-            Ok(c) => Some(c),
-            Err(e) => {
-                eprintln!(
-                    "warning: cannot canonicalize JSON dir {}: {e}; JSON export disabled",
-                    dir.display()
-                );
-                None
-            }
-        }
+    /// JSON files under `dir` (`lr-bench --json DIR`), created if
+    /// missing and canonicalized, so every message names one clean
+    /// path. A directory that cannot be created is an error.
+    pub fn in_dir(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
+        let dir = dir.into();
+        std::fs::create_dir_all(&dir)?;
+        Ok(JsonPolicy {
+            dir: Some(dir.canonicalize()?),
+        })
     }
 
     /// `BENCH_<name>.json` under the policy directory, if enabled.
@@ -265,7 +244,7 @@ mod tests {
     fn json_file_is_valid_after_every_row_and_atomic() {
         let dir = std::env::temp_dir().join(format!("lr_report_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let policy = JsonPolicy::in_dir(&dir);
+        let policy = JsonPolicy::in_dir(&dir).expect("temp dir is usable");
         let cfg = SystemConfig::default();
         let mut out: Vec<u8> = Vec::new();
         let mut rep = Report::begin(&mut out, "Fig X: demo", &cfg, &policy);
@@ -292,11 +271,11 @@ mod tests {
 
     #[test]
     fn unusable_json_dir_disables_export() {
-        // A path under a *file* cannot be created as a directory.
+        // A path under a *file* cannot be created as a directory, so no
+        // policy, and no export, comes of it.
         let file = std::env::temp_dir().join(format!("lr_report_file_{}", std::process::id()));
         std::fs::write(&file, b"x").unwrap();
-        let policy = JsonPolicy::in_dir(file.join("sub"));
-        assert!(policy.path("x").is_none());
+        assert!(JsonPolicy::in_dir(file.join("sub")).is_err());
         let _ = std::fs::remove_file(&file);
     }
 }

@@ -214,7 +214,7 @@ fn driver_writes_json_per_scenario() {
         threads: Some(vec![2]),
         ops: Some(TINY_OPS),
         jobs: 2,
-        json: JsonPolicy::in_dir(&dir),
+        json: JsonPolicy::in_dir(&dir).expect("temp dir is usable"),
         ..PlanOpts::default()
     };
     let mut out: Vec<u8> = Vec::new();

@@ -7,7 +7,6 @@
 //! |---|---|---|
 //! | Treiber stack \[41\] | [`stack`] | base / backoff / leased |
 //! | Michael–Scott queue \[27\] | [`queue`] | base / leased / multi-leased |
-//! | Two-lock MS queue \[27\] | [`two_lock_queue`] | TTS / leased locks |
 //! | Lotan–Shavit priority queue \[23\] on Pugh skiplist \[33\] | [`pq`], [`pugh_skiplist`] | baseline / global-lock / global-leased-lock |
 //! | MultiQueues \[36\] | [`multiqueue`] | base / leased (Algorithm 4) |
 //! | Harris list \[17\] | [`harris_list`] | base / predecessor-leased |
@@ -30,7 +29,6 @@ pub mod queue;
 pub mod replicated;
 pub mod seq_skiplist;
 pub mod stack;
-pub mod two_lock_queue;
 
 pub use bst::Bst;
 pub use delegated::{DelegatedStack, StackApply, STACK_EMPTY, STACK_POP, STACK_PUSH};
@@ -46,4 +44,3 @@ pub use replicated::{
 };
 pub use seq_skiplist::SeqSkipList;
 pub use stack::{StackVariant, TreiberStack};
-pub use two_lock_queue::{TwoLockQueue, TwoLockVariant};

@@ -149,89 +149,6 @@ fn queue_multileased_fifo() {
     queue_fifo_per_producer(QueueVariant::MultiLeased);
 }
 
-fn two_lock_queue_fifo(variant: TwoLockVariant) {
-    let producers = 3usize;
-    let per = 25u64;
-    let mut m = Machine::new(cfg(producers + 1));
-    let q = m.setup(|mem| TwoLockQueue::init(mem, variant));
-    let seen = Arc::new(Mutex::new(Vec::<u64>::new()));
-    let mut progs: Vec<ThreadFn> = Vec::new();
-    for tid in 0..producers {
-        progs.push(Box::new(move |ctx: &mut ThreadCtx| {
-            let base = (tid as u64 + 1) * 1000;
-            for i in 0..per {
-                q.enqueue(ctx, base + i);
-            }
-        }));
-    }
-    let seen2 = seen.clone();
-    progs.push(Box::new(move |ctx: &mut ThreadCtx| {
-        let mut got = Vec::new();
-        while got.len() < (producers as u64 * per) as usize {
-            if let Some(v) = q.dequeue(ctx) {
-                got.push(v);
-            } else {
-                ctx.work(100);
-            }
-        }
-        assert_eq!(q.dequeue(ctx), None);
-        seen2.lock().unwrap().extend(got);
-    }));
-    m.run(progs);
-    let seen = seen.lock().unwrap();
-    assert_eq!(seen.len(), producers * per as usize);
-    for p in 0..producers as u64 {
-        let base = (p + 1) * 1000;
-        let order: Vec<u64> = seen
-            .iter()
-            .copied()
-            .filter(|v| *v >= base && *v < base + 1000)
-            .collect();
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(order, sorted, "producer {p} order violated");
-    }
-}
-
-#[test]
-fn two_lock_queue_base_fifo() {
-    two_lock_queue_fifo(TwoLockVariant::Base);
-}
-
-#[test]
-fn two_lock_queue_leased_fifo() {
-    two_lock_queue_fifo(TwoLockVariant::Leased);
-}
-
-#[test]
-fn two_lock_queue_lease_reduces_traffic() {
-    let run = |variant: TwoLockVariant| {
-        let n = 6;
-        let mut m = Machine::new(cfg(n));
-        let q = m.setup(|mem| TwoLockQueue::init(mem, variant));
-        let progs: Vec<ThreadFn> = (0..n)
-            .map(|_| {
-                Box::new(move |ctx: &mut ThreadCtx| {
-                    for i in 0..30 {
-                        q.enqueue(ctx, i + 1);
-                        q.dequeue(ctx);
-                    }
-                }) as ThreadFn
-            })
-            .collect();
-        m.run(progs)
-    };
-    let base = run(TwoLockVariant::Base);
-    let leased = run(TwoLockVariant::Leased);
-    assert!(
-        leased.coherence_messages() < base.coherence_messages(),
-        "leased locks must cut queue traffic: {} vs {}",
-        leased.coherence_messages(),
-        base.coherence_messages()
-    );
-    assert!(leased.total_cycles < base.total_cycles);
-}
-
 // ------------------------------------------------------- priority queue
 
 fn pq_drains_sorted(init: fn(&mut lr_sim_mem::SimMemory) -> PriorityQueue, cores: usize) {

@@ -83,7 +83,7 @@ impl ThreadCtx {
     fn round_trip(&mut self, at: Cycle, op: Op) -> Reply {
         let tid = self.tid;
         self.req
-            .send(Request { tid, at, op })
+            .send(Request { at, op })
             .unwrap_or_else(|_| panic!("core {tid}: engine terminated before accepting an op"));
         self.reply
             .recv()
@@ -222,15 +222,15 @@ impl ThreadCtx {
         lr_lease::snapshot(self, addrs, time)
     }
 
-    pub(crate) fn send_exit(&mut self, panicked: bool) {
+    /// Tell the engine the closure finished. A closure that panics
+    /// never gets here: its slots drop as it unwinds, and the engine
+    /// reports the hang-up.
+    pub(crate) fn send_exit(&mut self) {
         let _ = self.req.send(Request {
-            tid: self.tid,
             at: self.time,
             op: Op::Exit {
                 instructions: self.instructions,
                 ops: self.ops,
-                at: self.time,
-                panicked,
             },
         });
     }

@@ -38,6 +38,6 @@ pub mod rendezvous;
 pub use barrier::SimBarrier;
 pub use ctx::ThreadCtx;
 pub use machine::{EngineInfo, Machine, OpSource, RecordedRun, SourceAbort, ThreadFn, TraceOutput};
-pub use proto::{AddrVec, Op, Reply, Request};
+pub use proto::{AddrVec, Op, Reply, Request, ADDRVEC_INLINE};
 
 pub use lr_sim_core::{Addr, CoreId, Cycle, LineAddr, MachineStats, SystemConfig};

@@ -98,7 +98,10 @@ pub struct RecordedRun {
 
 /// The live workers: one OS thread per program, each running its
 /// closure against a [`ThreadCtx`] that trades requests and replies with
-/// the engine through a pair of rendezvous slots.
+/// the engine through a pair of rendezvous slots. A closure that panics
+/// unwinds past its `Exit` and drops its slots. The engine waits for a
+/// worker's next request right after replying to it, so it sees the
+/// hang-up before any later event runs.
 struct Workers {
     req_rx: Vec<SlotReceiver<Request>>,
     reply_tx: Vec<SlotSender<Reply>>,
@@ -135,8 +138,8 @@ impl Workers {
                 record,
             );
             w.handles.push(std::thread::spawn(move || {
-                let r = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut tctx)));
-                tctx.send_exit(r.is_err());
+                f(&mut tctx);
+                tctx.send_exit();
             }));
             w.req_rx.push(rrx);
             w.reply_tx.push(ptx);
@@ -160,7 +163,7 @@ impl OpSource for Workers {
     fn next(&mut self, tid: usize) -> Result<Request, String> {
         self.req_rx[tid]
             .recv()
-            .map_err(|_| format!("core {tid}: worker hung up without sending Exit"))
+            .map_err(|_| format!("workload thread(s) [{tid}] panicked inside the simulation"))
     }
 
     fn observe(&mut self, tid: usize, reply: Reply) -> Result<(), String> {
@@ -173,8 +176,7 @@ impl OpSource for Workers {
 /// Trace capture at the engine's input: the live workers as the engine
 /// sees them in a recording run. It runs on the engine thread, so
 /// workers allocate nothing for the trace. `next` logs each request as
-/// an [`OpRecord`] (all but a panicked worker's `Exit`, whose run fails
-/// anyway) and `observe` fills in the logged op's reply. A barrier
+/// an [`OpRecord`] and `observe` fills in the logged op's reply. A barrier
 /// marker is logged and acknowledged here, and the wait goes on: the
 /// engine never sees one.
 struct Recorder<'a> {
@@ -187,17 +189,14 @@ impl OpSource for Recorder<'_> {
     fn next(&mut self, tid: usize) -> Result<Request, String> {
         loop {
             let r = self.workers.next(tid)?;
-            if !matches!(r.op, Op::Exit { panicked: true, .. }) {
-                // Markers and Exit keep this reply; ops get theirs in
-                // observe.
-                self.cores[tid].push(OpRecord {
-                    at: r.at,
-                    op: r.op.to_trace(),
-                    reply_time: r.at,
-                    reply_value: 0,
-                    reply_flag: false,
-                });
-            }
+            // Markers and Exit keep this reply; ops get theirs in observe.
+            self.cores[tid].push(OpRecord {
+                at: r.at,
+                op: r.op.map_addrs(|a| a.to_vec()),
+                reply_time: r.at,
+                reply_value: 0,
+                reply_flag: false,
+            });
             if !matches!(r.op, Op::Barrier) {
                 return Ok(r);
             }
@@ -730,28 +729,19 @@ impl Machine {
             finish_time: 0,
             exit_inst: vec![0u64; n],
             exit_ops: vec![0u64; n],
-            panicked: Vec::new(),
             alloc_msgs: 0,
         };
 
         // Any failure inside the event loop — watchdog trip, protocol
-        // assertion (panic), divergence or deadlock (Err), or a worker
-        // that panicked (every `Exit` has arrived once the loop ends) —
-        // is caught and rendered as one coherent report: the failure
-        // reason, the trace window, the in-flight protocol state, and
-        // every core's lease table.
+        // assertion (panic), divergence, deadlock or a worker that
+        // panicked (Err from the source) — is caught and rendered as one
+        // coherent report: the failure reason, the trace window, the
+        // in-flight protocol state, and every core's lease table.
         let loop_result = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
             while let Some((t, _, ev)) = core.ms.queue.pop_global() {
                 core.apply(t, ev)?;
             }
-            core.finish_checks()?;
-            if !core.panicked.is_empty() {
-                return Err(format!(
-                    "workload thread(s) {:?} panicked inside the simulation",
-                    core.panicked
-                ));
-            }
-            Ok(())
+            core.finish_checks()
         }))
         .unwrap_or_else(|p| Err(panic_payload_msg(p.as_ref())));
         if let Err(reason) = loop_result {
@@ -805,7 +795,6 @@ struct EngineCore<'a> {
     finish_time: Cycle,
     exit_inst: Vec<u64>,
     exit_ops: Vec<u64>,
-    panicked: Vec<usize>,
     /// `Ev::MemReq` events (heap ops routed to the allocator home tile)
     /// applied; reported as [`EngineInfo::alloc_msgs`].
     alloc_msgs: u64,
@@ -955,21 +944,12 @@ impl EngineCore<'_> {
     /// requirement).
     fn await_request(&mut self, tid: usize, t: Cycle) -> Result<(), String> {
         let r = self.source.next(tid)?;
-        debug_assert_eq!(r.tid, tid);
         match r.op {
-            Op::Exit {
-                instructions,
-                ops,
-                at,
-                panicked: p,
-            } => {
+            Op::Exit { instructions, ops } => {
                 self.live -= 1;
                 self.exit_inst[tid] = instructions;
                 self.exit_ops[tid] = ops;
-                self.finish_time = self.finish_time.max(at);
-                if p {
-                    self.panicked.push(tid);
-                }
+                self.finish_time = self.finish_time.max(r.at);
             }
             op => {
                 debug_assert!(self.pending[tid].is_none());

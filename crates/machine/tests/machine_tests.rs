@@ -465,6 +465,36 @@ fn worker_panic_while_holding_lease_reports_coherently() {
 }
 
 #[test]
+fn worker_panic_while_a_peer_spins_on_it_is_reported_at_once() {
+    // Thread 1 waits in a barrier that thread 0 never reaches: thread 0
+    // panics first. The panic must end the run as soon as it happens,
+    // not when the spinning peer trips the watchdog.
+    let mut config = cfg(2);
+    config.watchdog_max_cycles = 1_000_000;
+    let mut m = Machine::new(config);
+    let (a, barrier) = m.setup(|mem| (mem.alloc_line_aligned(8), SimBarrier::init(mem, 2)));
+    let progs: Vec<ThreadFn> = vec![
+        Box::new(move |ctx| {
+            ctx.work(10_000); // let thread 1 reach the barrier
+            ctx.read(a);
+            panic!("workload bug before the barrier");
+        }),
+        Box::new(move |ctx| {
+            let mut barrier = barrier;
+            barrier.wait(ctx);
+        }),
+    ];
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.run(progs)))
+        .expect_err("worker panic must propagate");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .expect("report is a String payload");
+    assert!(msg.contains("panicked inside the simulation"), "{msg}");
+    assert!(msg.contains("[0]"), "report must name thread 0: {msg}");
+}
+
+#[test]
 fn prioritization_lets_regular_requests_break_leases() {
     // Thread 0 camps on a lease and never releases; thread 1 issues a
     // plain (regular) store. With prioritization ON the store must

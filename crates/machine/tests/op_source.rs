@@ -31,11 +31,9 @@ impl OpSource for FaaSource {
             Op::Exit {
                 instructions: done,
                 ops: done,
-                at,
-                panicked: false,
             }
         };
-        Ok(Request { tid, at, op })
+        Ok(Request { at, op })
     }
 
     fn observe(&mut self, tid: usize, reply: Reply) -> Result<(), String> {

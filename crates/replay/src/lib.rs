@@ -26,7 +26,7 @@
 #![forbid(unsafe_code)]
 
 use lr_machine::{
-    Cycle, LineAddr, Machine, MachineStats, Op, OpSource, Reply, Request, SystemConfig,
+    AddrVec, Cycle, LineAddr, Machine, MachineStats, OpSource, Reply, Request, SystemConfig,
 };
 use lr_sim_core::tracefmt::{self, MachineTrace, TraceError, TraceOp};
 use lr_sim_mem::SimMemory;
@@ -145,15 +145,13 @@ impl OpSource for ReplaySource<'_> {
             );
             return Err(self.fail(tid, offset, cycle, None, detail));
         };
-        let op = Op::from_trace(&rec.op, rec.at).expect("barriers were skipped above");
         if matches!(rec.op, TraceOp::Exit { .. }) {
             // No reply follows an Exit; consume it now.
             self.cursor[tid] += 1;
         }
         Ok(Request {
-            tid,
             at: rec.at,
-            op,
+            op: rec.op.map_addrs(|a| AddrVec::from_slice(a)),
         })
     }
 

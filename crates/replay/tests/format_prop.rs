@@ -1,6 +1,8 @@
 //! Property tests for the trace wire format: encode→decode identity
-//! over randomized op streams, and corruption detection.
+//! over randomized op streams, corruption detection, and the trip
+//! between a trace op and the live op.
 
+use lr_machine::{AddrVec, ADDRVEC_INLINE};
 use lr_replay::ReplayOutcome;
 use lr_sim_core::tracefmt::{self, MachineTrace, MemImage, OpRecord, TraceOp};
 use lr_sim_core::{Addr, SplitMix64, SystemConfig};
@@ -156,6 +158,27 @@ fn random_truncations_are_rejected() {
             tracefmt::decode(&clean[..cut]).is_err(),
             "truncation at {cut} accepted"
         );
+    }
+}
+
+/// A trace op mapped to the live op and back with `map_addrs` is
+/// unchanged, MultiLease groups longer than the inline capacity (which
+/// spill to the heap) included.
+#[test]
+fn trace_op_survives_the_trip_through_the_live_op() {
+    let mut rng = SplitMix64::new(0x11fe_0b0b);
+    let long_groups = (ADDRVEC_INLINE..=2 * ADDRVEC_INLINE + 1).map(|n| TraceOp::MultiLease {
+        addrs: (0..n as u64).map(|i| Addr(0x1000 + 64 * i)).collect(),
+        time: n as u64,
+    });
+    for op in (0..2000).map(|_| random_op(&mut rng)).chain(long_groups) {
+        let live: lr_machine::Op = op.map_addrs(|a| AddrVec::from_slice(a));
+        if let lr_machine::Op::MultiLease { addrs, .. } = &live {
+            let spilled = matches!(addrs, AddrVec::Heap(_));
+            assert_eq!(spilled, addrs.len() > ADDRVEC_INLINE, "{op:?}");
+        }
+        assert_eq!(live.addr(), op.addr(), "{op:?}");
+        assert_eq!(live.map_addrs(|a| a.to_vec()), op);
     }
 }
 

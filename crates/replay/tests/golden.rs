@@ -8,11 +8,14 @@
 //! 2. The fixture replays cleanly and byte-identically.
 //!
 //! Regenerate deliberately (after an intentional behaviour change) with
-//! `LR_REGEN_GOLDEN=1 cargo test -p lr-replay --test golden`.
+//! the ignored test: `cargo test -p lr-replay --test golden -- --ignored`.
 
 use lr_machine::{Machine, SimBarrier, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::tracefmt::{self, MachineTrace, TraceOp};
 use std::path::PathBuf;
+
+/// How to rewrite the fixture, for the failure messages.
+const REGEN: &str = "cargo test -p lr-replay --test golden -- --ignored";
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -67,20 +70,24 @@ fn record_golden() -> MachineTrace {
     machine.run_recorded(progs).trace
 }
 
+/// Rewrites the fixture from today's recording; run it only on purpose.
+#[test]
+#[ignore = "rewrites the checked-in fixture"]
+fn regenerate_golden_fixture() {
+    let bytes = tracefmt::encode(&record_golden());
+    let path = fixture_path();
+    std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir fixtures");
+    std::fs::write(&path, &bytes).expect("write golden fixture");
+    eprintln!("regenerated {} ({} bytes)", path.display(), bytes.len());
+}
+
 #[test]
 fn golden_trace_matches_fixture_byte_for_byte() {
-    let trace = record_golden();
-    let bytes = tracefmt::encode(&trace);
+    let bytes = tracefmt::encode(&record_golden());
     let path = fixture_path();
-    if std::env::var_os("LR_REGEN_GOLDEN").is_some_and(|v| v == "1") {
-        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("mkdir fixtures");
-        std::fs::write(&path, &bytes).expect("write golden fixture");
-        eprintln!("regenerated {} ({} bytes)", path.display(), bytes.len());
-        return;
-    }
     let golden = std::fs::read(&path).unwrap_or_else(|e| {
         panic!(
-            "cannot read {} ({e}); regenerate with LR_REGEN_GOLDEN=1",
+            "cannot read {} ({e}); regenerate with `{REGEN}`",
             path.display()
         )
     });
@@ -88,7 +95,7 @@ fn golden_trace_matches_fixture_byte_for_byte() {
         bytes, golden,
         "re-recording the golden workload no longer reproduces the fixture — \
          the wire format or simulated behaviour changed; if intentional, \
-         regenerate with LR_REGEN_GOLDEN=1"
+         regenerate with `{REGEN}`"
     );
 }
 
@@ -97,7 +104,7 @@ fn golden_fixture_decodes_replays_and_reencodes() {
     let path = fixture_path();
     let trace = lr_replay::read_trace(&path).unwrap_or_else(|e| {
         panic!(
-            "cannot load {} ({e}); regenerate with LR_REGEN_GOLDEN=1",
+            "cannot load {} ({e}); regenerate with `{REGEN}`",
             path.display()
         )
     });

@@ -82,73 +82,116 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// One recorded simulated instruction, as seen at the worker⇄engine
-/// boundary: the operation with its operands, the worker-local issue
-/// time, and the reply the live engine produced. The replayer feeds the
-/// operation back at the same issue time and diverges loudly if the
-/// engine's reply differs.
+/// One simulated instruction with its operands: the instruction set a
+/// worker issues, the engine executes and a trace records. It is defined
+/// once; `L` holds a MultiLease group's addresses. A trace keeps them in
+/// a `Vec` ([`TraceOp`], 32 B, so an [`OpRecord`] stays 64 B), and the
+/// live handoff (`lr_machine::Op`) keeps up to eight inline, so that an
+/// issued op allocates nothing. [`Op::map_addrs`] converts between the
+/// two.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceOp {
+pub enum Op<L> {
+    /// 64-bit load.
     Read(Addr),
+    /// 64-bit store.
     Write(Addr, u64),
-    Cas {
-        addr: Addr,
-        expected: u64,
-        new: u64,
-    },
-    Faa {
-        addr: Addr,
-        delta: u64,
-    },
-    Xchg {
-        addr: Addr,
-        value: u64,
-    },
-    Lease {
-        addr: Addr,
-        time: Cycle,
-    },
-    Release {
-        addr: Addr,
-    },
-    MultiLease {
-        addrs: Vec<Addr>,
-        time: Cycle,
-    },
+    /// Compare-and-swap: `flag` in the reply is the success bit, `value`
+    /// the observed old value.
+    Cas { addr: Addr, expected: u64, new: u64 },
+    /// Fetch-and-add; reply `value` is the old value.
+    Faa { addr: Addr, delta: u64 },
+    /// Atomic exchange; reply `value` is the old value.
+    Xchg { addr: Addr, value: u64 },
+    /// `Lease(addr, time)` — Algorithm 1. Blocks until Exclusive
+    /// ownership is granted.
+    Lease { addr: Addr, time: Cycle },
+    /// `Release(addr)` — reply `flag` is true iff the release was
+    /// voluntary (a lease was still held).
+    Release { addr: Addr },
+    /// `MultiLease(num, time, addrs…)` — Algorithm 2. Reply `flag` is
+    /// true iff the group was admitted (not over `MAX_NUM_LEASES`).
+    MultiLease { addrs: L, time: Cycle },
+    /// `ReleaseAll()`.
     ReleaseAll,
-    Malloc {
-        size: u64,
-        align: u64,
-    },
+    /// Heap allocation; reply `value` is the address.
+    Malloc { size: u64, align: u64 },
+    /// Heap free.
     Free(Addr),
-    /// The worker's closure finished; carries its final counters.
+    /// The worker's closure finished; carries its final counters. No
+    /// reply follows.
     Exit {
+        /// Simulated instructions the worker retired (API calls + work).
         instructions: u64,
+        /// Application-level operations the workload reported.
         ops: u64,
     },
-    /// Annotation only: the worker crossed a [`SimBarrier`] here. The
-    /// barrier's constituent FAA/load/store instructions are recorded
-    /// as ordinary ops; the replayer skips this marker.
+    /// Annotation only: the worker crossed a [`SimBarrier`] here, in a
+    /// recorded run. The recorder at the engine's input logs and
+    /// acknowledges it, so the engine never sees one, and the replayer
+    /// skips it: it schedules no event, counts no instruction and moves
+    /// no clock. The barrier's own FAA/load/store instructions are
+    /// recorded as ordinary ops.
     ///
     /// [`SimBarrier`]: ../../lr_machine/struct.SimBarrier.html
     Barrier,
 }
 
-impl TraceOp {
+/// An op as a trace records it.
+pub type TraceOp = Op<Vec<Addr>>;
+
+// A trace holds one `OpRecord` per simulated instruction, so the
+// decoded record keeps to one cache line.
+const _: () = assert!(std::mem::size_of::<TraceOp>() <= 32);
+const _: () = assert!(std::mem::size_of::<OpRecord>() <= 64);
+
+impl<L: std::ops::Deref<Target = [Addr]>> Op<L> {
     /// The cache-line-bearing address of this op, if it has one
     /// (divergence reports lead with it).
     pub fn addr(&self) -> Option<Addr> {
         match *self {
-            TraceOp::Read(a)
-            | TraceOp::Write(a, _)
-            | TraceOp::Cas { addr: a, .. }
-            | TraceOp::Faa { addr: a, .. }
-            | TraceOp::Xchg { addr: a, .. }
-            | TraceOp::Lease { addr: a, .. }
-            | TraceOp::Release { addr: a }
-            | TraceOp::Free(a) => Some(a),
-            TraceOp::MultiLease { ref addrs, .. } => addrs.first().copied(),
+            Op::Read(a)
+            | Op::Write(a, _)
+            | Op::Cas { addr: a, .. }
+            | Op::Faa { addr: a, .. }
+            | Op::Xchg { addr: a, .. }
+            | Op::Lease { addr: a, .. }
+            | Op::Release { addr: a }
+            | Op::Free(a) => Some(a),
+            Op::MultiLease { ref addrs, .. } => addrs.first().copied(),
             _ => None,
+        }
+    }
+}
+
+impl<L> Op<L> {
+    /// The same op with a MultiLease group's addresses converted by `f`:
+    /// how an op crosses between the live handoff and a trace.
+    pub fn map_addrs<M>(&self, f: impl FnOnce(&L) -> M) -> Op<M> {
+        match *self {
+            Op::Read(a) => Op::Read(a),
+            Op::Write(a, v) => Op::Write(a, v),
+            Op::Cas {
+                addr,
+                expected,
+                new,
+            } => Op::Cas {
+                addr,
+                expected,
+                new,
+            },
+            Op::Faa { addr, delta } => Op::Faa { addr, delta },
+            Op::Xchg { addr, value } => Op::Xchg { addr, value },
+            Op::Lease { addr, time } => Op::Lease { addr, time },
+            Op::Release { addr } => Op::Release { addr },
+            Op::MultiLease { ref addrs, time } => Op::MultiLease {
+                addrs: f(addrs),
+                time,
+            },
+            Op::ReleaseAll => Op::ReleaseAll,
+            Op::Malloc { size, align } => Op::Malloc { size, align },
+            Op::Free(a) => Op::Free(a),
+            Op::Exit { instructions, ops } => Op::Exit { instructions, ops },
+            Op::Barrier => Op::Barrier,
         }
     }
 }
