@@ -54,20 +54,23 @@ step "cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 step "tier-1 verify: release build + tests"
-cargo build --release --offline
+# `--locked` here and in the benchmark step: a manifest edit that would
+# rewrite `Cargo.lock` or `perfbench/Cargo.lock` fails CI instead of
+# leaving the checkout modified.
+cargo build --release --offline --locked
 # Test builds carry every debug check: the tile-ownership guard, the
 # mid-flight single-writer sweeps, and the event queue's reference
 # check (every wheel pop in the suite, which runs each scenario's smoke
 # cells, the goldens and the corpus, must return the minimum of a
 # key-only heap of everything pending).
-cargo test -q --offline
+cargo test -q --offline --locked
 
 step "benchmark package: build + tests"
 # perfbench is a cargo package of its own (empty [workspace]), so the
 # workspace build above does not compile it. It copies CohEvent by value
 # and implements CohContext: an API change that breaks it must fail
 # here, not when the benchmark is next run.
-cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 step "smoke sweep: every scenario recorded, 2 parallel jobs; every trace replayed"
 # One sweep of every scenario at smoke size. Each scenario's in-cell

@@ -51,14 +51,14 @@ fn fail(msg: &str) -> ! {
 }
 
 fn campaign(base: u64, seeds: u64, repro_dir: &std::path::Path) -> ! {
-    println!(
-        "lr-fuzz: campaign seeds {base}..{} — 3 variants per seed",
-        base + seeds
-    );
+    let end = base
+        .checked_add(seeds)
+        .unwrap_or_else(|| fail("--base-seed + --seeds overflows u64"));
+    println!("lr-fuzz: campaign seeds {base}..{end} — 3 variants per seed");
     let mut total_ops = 0u64;
     let mut total_verified = 0usize;
     let mut findings = 0usize;
-    for seed in base..base + seeds {
+    for seed in base..end {
         match lr_fuzz::check_seed(seed) {
             Ok(r) => {
                 total_ops += r.ops;

@@ -24,7 +24,7 @@ pub mod exec;
 pub mod gen;
 pub mod shrink;
 
-pub use corpus::{dlock_entry_name, entry_name, persist_repro, regen as regen_corpus, repro_name};
+pub use corpus::{entry_name, persist_repro, regen as regen_corpus, repro_name, Family};
 pub use exec::{
     check_seed, check_variant, check_workload, record_workload, Finding, RunOutput, SeedReport,
     Variant, VARIANTS,

@@ -155,7 +155,7 @@ fn corpus_regen_is_deterministic_and_checkable() {
 fn corpus_check_rejects_tampered_entry() {
     let dir = scratch("corpus_bad");
     regen_corpus(&dir, 1).unwrap();
-    let victim = dir.join(lr_fuzz::entry_name(0, Variant::Msi));
+    let victim = dir.join(lr_fuzz::entry_name(lr_fuzz::Family::Seed, 0, Variant::Msi));
     let mut t = lr_replay::read_trace(&victim).unwrap();
     tamper_first_reply(&mut t).unwrap();
     lr_replay::write_trace(&victim, &t).unwrap();

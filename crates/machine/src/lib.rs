@@ -33,7 +33,7 @@ mod barrier;
 mod ctx;
 mod machine;
 mod proto;
-pub mod rendezvous;
+mod rendezvous;
 
 pub use barrier::SimBarrier;
 pub use ctx::ThreadCtx;

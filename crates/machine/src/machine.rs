@@ -28,7 +28,7 @@ use crate::proto::{Op, Reply, Request, ALLOC_COST};
 use crate::rendezvous::{slot, SlotReceiver, SlotSender};
 use lr_coherence::{AccessKind, CohContext, CohEvent, CoherenceEngine, ProbeAction};
 use lr_lease::LeaseController;
-use lr_sim_core::trace::{TraceEvent, TraceRing, TraceSink};
+use lr_sim_core::trace::{TraceEvent, TraceRing};
 use lr_sim_core::tracefmt::{self, MachineTrace, OpRecord};
 use lr_sim_core::{CoreId, Cycle, LineAddr, MachineStats, ShardedQueue, SystemConfig};
 use lr_sim_mem::SimMemory;
@@ -119,15 +119,8 @@ impl Workers {
             handles: Vec::with_capacity(n),
         };
         for (tid, f) in programs.into_iter().enumerate() {
-            let (rtx, rrx) = slot::<Request>();
-            let (ptx, prx) = slot::<Reply>();
-            // A worker's reply may be many engine events away (other
-            // workers' ops are simulated first), so park early instead of
-            // lingering in the host scheduler's rotation and slowing the
-            // handoffs of the pair that is making progress. The engine's
-            // request receiver keeps the default (large) cap: the worker
-            // it just woke is always the very next sender.
-            let prx = prx.with_yield_cap(WORKER_YIELD_CAP / n as u32);
+            let (rtx, rrx) = slot::<Request>(ENGINE_PATIENCE);
+            let (ptx, prx) = slot::<Reply>((WORKER_PATIENCE / n as u32).max(1));
             let mut tctx = ThreadCtx::new(
                 tid,
                 cfg.instruction_cost,
@@ -300,11 +293,18 @@ fn write_trace_file(out: &TraceOutput, trace: &MachineTrace) {
     }
 }
 
-/// Yield-phase budget pool for worker reply receivers, divided by the
-/// worker count: the more workers are waiting, the longer each host
-/// scheduling rotation, so the quicker each should fall back to parking
-/// (see the comment where [`Workers::spawn`] builds each worker's slots).
-const WORKER_YIELD_CAP: u32 = 16;
+/// Yields before the engine parks on a worker's request. Its wait is
+/// always hot: the worker it just woke is always the very next sender.
+const ENGINE_PATIENCE: u32 = 256;
+
+/// Yields before a worker parks on its reply, shared among the workers
+/// (`max(1, WORKER_PATIENCE / n)` each). A reply may be many engine
+/// events away, since other workers' ops are simulated first, and each
+/// yielding waiter lengthens every host scheduling rotation and slows
+/// the pair that is making progress: the more workers wait, the sooner
+/// each parks. A lone worker keeps all 16: at patience 1, 1-thread
+/// cells ran about 3× slower (DESIGN §4b).
+const WORKER_PATIENCE: u32 = 16;
 
 /// Host-level observability for one run: how the execution engine (not
 /// the simulated machine) behaved. Kept out of [`MachineStats`] so the

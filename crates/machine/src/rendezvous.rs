@@ -1,4 +1,4 @@
-//! Spin-then-park SPSC rendezvous slots — the worker ⇄ engine handoff.
+//! Yield-then-park SPSC rendezvous slots — the worker ⇄ engine handoff.
 //!
 //! The lockstep runtime has a very particular communication pattern:
 //! exactly one entity (the engine or one worker) is runnable at any
@@ -7,10 +7,9 @@
 //! allocation per message and an OS futex sleep/wake per round trip for
 //! flexibility this pattern never uses. A [`slot`] is the minimal
 //! mechanism instead: a single-value cell, one fixed producer, one
-//! fixed consumer, with the consumer spinning briefly before parking —
-//! under lockstep the peer is usually mid-handoff, so the value almost
-//! always arrives within the spin window and both OS context switches
-//! are elided.
+//! fixed consumer. The consumer waits in two phases: it yields up to a
+//! fixed *patience*, staying runnable so that a value landing meanwhile
+//! costs the sender no futex wake, and then parks.
 //!
 //! ## Contract
 //!
@@ -49,65 +48,6 @@ const WAITING: u8 = 2;
 /// panic (it only moves a value in or out).
 const UNPOISONED: &str = "the slot's value cell is never held across a panic";
 
-/// Pure-spin iterations before yielding. Only useful on multicore
-/// hosts (the peer must be able to run *while* we spin); covers the
-/// peer's handoff work when it is already on another core.
-///
-/// Tuning data (8 workers FAA-ing one shared line, 4000 ops each, on a
-/// single-hardware-thread container, with the spin phase forced on by
-/// an override this module no longer has): spinning where the peer
-/// cannot run is pure loss, and the loss scales linearly with the
-/// round count — 440k sim-ops/s at 0 rounds, 296k at 32, 145k at 128,
-/// 51k at 512, 14k at 2048 (private read/write and private lease-churn
-/// loops degrade in the same ratios). The default path
-/// measures within noise of the 0-round row, i.e. the
-/// `available_parallelism` probe that disables the spin phase on
-/// single-threaded hosts is doing exactly its job — which is why 128 is
-/// safe as the multicore setting: it is never reached on hosts where it
-/// measures as harmful, and on multicore hosts it covers the peer's
-/// ~100-cycle handoff window without approaching the yield phase's
-/// cost. A multicore host should re-measure before changing it, with
-/// perfbench's `handoff.ns_per_op` on its live workloads.
-const SPIN_ROUNDS: u32 = 128;
-
-/// Bounds for the adaptive `yield_now` budget before parking. A
-/// yielding waiter stays *runnable* — when the value lands it resumes
-/// on the next scheduling slot with no futex wake (the sender pays no
-/// syscall at all, since the state never reads `WAITING`). This is the
-/// phase that does the work on oversubscribed or single-core hosts,
-/// where every handoff inherently needs a context switch and
-/// `sched_yield` is several times cheaper than a park/unpark pair.
-///
-/// The budget adapts per receiver: catching a value while yielding
-/// doubles it (the engine, and workers in a hot handoff pair, converge
-/// to the cap), falling through to park halves it (workers whose
-/// replies are many engine events away converge to one token yield and
-/// stop polluting the scheduler's rotation with wasted slices).
-const YIELD_MIN: u32 = 1;
-const YIELD_MAX: u32 = 256;
-const YIELD_INIT: u32 = 64;
-
-/// Cached `available_parallelism` (0 = not yet probed): pure spinning
-/// is pointless on a single hardware thread, so `recv` skips it there.
-static HOST_CORES: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
-
-/// The pure-spin round count for this host: [`SPIN_ROUNDS`] when it
-/// has more than one hardware thread, 0 otherwise.
-fn spin_rounds() -> u32 {
-    let mut n = HOST_CORES.load(Ordering::Relaxed);
-    if n == 0 {
-        n = std::thread::available_parallelism()
-            .map(|p| p.get() as u32)
-            .unwrap_or(1);
-        HOST_CORES.store(n, Ordering::Relaxed);
-    }
-    if n > 1 {
-        SPIN_ROUNDS
-    } else {
-        0
-    }
-}
-
 struct Inner<T> {
     state: AtomicU8,
     closed: AtomicBool,
@@ -128,14 +68,13 @@ pub struct SlotSender<T> {
 /// Consumer endpoint of a rendezvous [`slot`].
 pub struct SlotReceiver<T> {
     inner: Arc<Inner<T>>,
-    /// Adaptive yield budget (see [`YIELD_MAX`]).
-    budget: u32,
-    /// Upper bound for `budget` (see [`SlotReceiver::with_yield_cap`]).
-    cap: u32,
+    /// `yield_now` rounds before `recv` parks.
+    patience: u32,
 }
 
-/// A new rendezvous slot: one producer, one consumer, one value.
-pub fn slot<T: Send>() -> (SlotSender<T>, SlotReceiver<T>) {
+/// A new rendezvous slot: one producer, one consumer, one value. The
+/// receiver yields up to `patience` times before it parks.
+pub fn slot<T: Send>(patience: u32) -> (SlotSender<T>, SlotReceiver<T>) {
     let inner = Arc::new(Inner {
         state: AtomicU8::new(EMPTY),
         closed: AtomicBool::new(false),
@@ -146,11 +85,7 @@ pub fn slot<T: Send>() -> (SlotSender<T>, SlotReceiver<T>) {
         SlotSender {
             inner: inner.clone(),
         },
-        SlotReceiver {
-            inner,
-            budget: YIELD_INIT,
-            cap: YIELD_MAX,
-        },
+        SlotReceiver { inner, patience },
     )
 }
 
@@ -197,23 +132,15 @@ impl<T> Drop for SlotSender<T> {
 }
 
 impl<T: Send> SlotReceiver<T> {
-    /// Take the next value, spinning briefly and then parking until the
-    /// producer fills the slot. Returns [`Closed`] once the producer
-    /// has dropped and any final value has been drained.
+    /// Take the next value, yielding up to the slot's patience and then
+    /// parking until the producer fills the slot. Returns [`Closed`]
+    /// once the producer has dropped and any final value has been
+    /// drained.
     pub fn recv(&mut self) -> Result<T, Closed> {
-        // Phase 1: pure spin (multicore only) — catches a peer that is
-        // mid-handoff on another core without any syscall.
-        for _ in 0..spin_rounds() {
+        // Phase 1: yield — stay runnable (the sender never pays an
+        // unpark) while letting whoever produces the value run.
+        for _ in 0..self.patience {
             if self.inner.state.load(Ordering::Acquire) == FULL {
-                return Ok(self.take());
-            }
-            std::hint::spin_loop();
-        }
-        // Phase 2: yielding spin — stay runnable (the sender never pays
-        // an unpark) while letting whoever produces the value run.
-        for _ in 0..self.budget {
-            if self.inner.state.load(Ordering::Acquire) == FULL {
-                self.budget = (self.budget * 2).min(self.cap);
                 return Ok(self.take());
             }
             if self.inner.closed.load(Ordering::SeqCst) {
@@ -221,8 +148,7 @@ impl<T: Send> SlotReceiver<T> {
             }
             std::thread::yield_now();
         }
-        // Phase 3: park until the sender (or a close) wakes us.
-        self.budget = (self.budget / 2).max(YIELD_MIN);
+        // Phase 2: park until the sender (or a close) wakes us.
         loop {
             if self.inner.state.load(Ordering::Acquire) == FULL {
                 return Ok(self.take());
@@ -241,8 +167,8 @@ impl<T: Send> SlotReceiver<T> {
                 .compare_exchange(EMPTY, WAITING, Ordering::SeqCst, Ordering::SeqCst)
                 .is_err()
             {
-                // A value (or close) arrived between the spin and the
-                // CAS; re-run the fast path.
+                // A value (or close) arrived between the check and the
+                // CAS; re-run it.
                 continue;
             }
             loop {
@@ -265,19 +191,6 @@ impl<T: Send> SlotReceiver<T> {
                 // Spurious wakeup or a close-unpark: loop re-checks.
             }
         }
-    }
-
-    /// Cap the adaptive yield budget. A waiter whose values routinely
-    /// take many scheduling slots to arrive (a worker whose reply is
-    /// several engine events away) should park early rather than keep
-    /// itself in the scheduler's rotation, slowing the pair that is
-    /// actually making progress; a waiter whose values are always the
-    /// very next thing (the engine awaiting the request of the worker
-    /// it just woke) should keep yielding.
-    pub fn with_yield_cap(mut self, cap: u32) -> Self {
-        self.cap = cap.max(YIELD_MIN);
-        self.budget = self.budget.min(self.cap);
-        self
     }
 
     /// Register the consumer thread handle (once; see module contract).
@@ -314,15 +227,15 @@ mod tests {
 
     #[test]
     fn single_handoff() {
-        let (tx, mut rx) = slot::<u64>();
+        let (tx, mut rx) = slot::<u64>(4);
         tx.send(7).unwrap();
         assert_eq!(rx.recv(), Ok(7));
     }
 
     #[test]
     fn ping_pong_across_threads() {
-        let (req_tx, mut req_rx) = slot::<u64>();
-        let (rep_tx, mut rep_rx) = slot::<u64>();
+        let (req_tx, mut req_rx) = slot::<u64>(4);
+        let (rep_tx, mut rep_rx) = slot::<u64>(4);
         let n = 10_000u64;
         let worker = std::thread::spawn(move || {
             let mut acc = 0;
@@ -341,9 +254,9 @@ mod tests {
 
     #[test]
     fn parked_receiver_is_woken_by_send() {
-        let (tx, mut rx) = slot::<u64>();
+        let (tx, mut rx) = slot::<u64>(4);
         let h = std::thread::spawn(move || rx.recv());
-        // Give the receiver time to spin out and park.
+        // Give the receiver time to yield out and park.
         std::thread::sleep(std::time::Duration::from_millis(20));
         tx.send(42).unwrap();
         assert_eq!(h.join().unwrap(), Ok(42));
@@ -351,7 +264,7 @@ mod tests {
 
     #[test]
     fn sender_drop_wakes_and_closes() {
-        let (tx, mut rx) = slot::<u64>();
+        let (tx, mut rx) = slot::<u64>(4);
         let h = std::thread::spawn(move || rx.recv());
         std::thread::sleep(std::time::Duration::from_millis(20));
         drop(tx);
@@ -360,7 +273,7 @@ mod tests {
 
     #[test]
     fn value_sent_before_close_is_drained() {
-        let (tx, mut rx) = slot::<String>();
+        let (tx, mut rx) = slot::<String>(4);
         tx.send("exit".to_string()).unwrap();
         drop(tx);
         assert_eq!(rx.recv(), Ok("exit".to_string()));
@@ -369,7 +282,7 @@ mod tests {
 
     #[test]
     fn send_after_receiver_drop_errors() {
-        let (tx, rx) = slot::<u64>();
+        let (tx, rx) = slot::<u64>(4);
         drop(rx);
         assert_eq!(tx.send(1), Err(Closed));
     }
@@ -377,22 +290,10 @@ mod tests {
     #[test]
     fn unreceived_value_is_dropped_with_slot() {
         let v = std::sync::Arc::new(());
-        let (tx, rx) = slot::<std::sync::Arc<()>>();
+        let (tx, rx) = slot::<std::sync::Arc<()>>(4);
         tx.send(v.clone()).unwrap();
         drop(tx);
         drop(rx);
         assert_eq!(std::sync::Arc::strong_count(&v), 1, "value leaked");
-    }
-
-    /// The pure-spin phase runs only where the peer can run while the
-    /// receiver spins: on hosts with more than one hardware thread.
-    #[test]
-    fn force_spin_off_defers_to_core_count() {
-        let expected = if std::thread::available_parallelism().map_or(1, |p| p.get()) > 1 {
-            SPIN_ROUNDS
-        } else {
-            0
-        };
-        assert_eq!(spin_rounds(), expected);
     }
 }

@@ -24,7 +24,7 @@ pub use event::{EventQueue, EventQueueKind};
 pub use rng::SplitMix64;
 pub use shard::ShardedQueue;
 pub use stats::{CoreStats, MachineStats};
-pub use trace::{TraceAccess, TraceEvent, TraceRecord, TraceRing, TraceSink};
+pub use trace::{TraceAccess, TraceEvent, TraceRecord, TraceRing};
 pub use tracefmt::{config_fingerprint, MachineTrace, MemImage, OpRecord, TraceError, TraceOp};
 pub use zipf::Zipf;
 

@@ -103,12 +103,6 @@ pub struct TraceRecord {
     pub ev: TraceEvent,
 }
 
-/// Receiver of structured trace events.
-pub trait TraceSink {
-    /// Record `ev` at simulated time `t`.
-    fn record(&mut self, t: Cycle, ev: TraceEvent);
-}
-
 /// Bounded ring of the most recent trace records.
 #[derive(Debug, Default)]
 pub struct TraceRing {
@@ -131,6 +125,19 @@ impl TraceRing {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.depth > 0
+    }
+
+    /// Record `ev` at simulated time `t`.
+    #[inline]
+    pub fn record(&mut self, t: Cycle, ev: TraceEvent) {
+        if self.depth == 0 {
+            return;
+        }
+        if self.ring.len() == self.depth {
+            self.ring.pop_front();
+        }
+        self.ring.push_back(TraceRecord { t, ev });
+        self.recorded += 1;
     }
 
     /// Total events recorded over the ring's lifetime (including those
@@ -172,20 +179,6 @@ impl TraceRing {
             let _ = writeln!(s, "  t={:<10} {:?}", r.t, r.ev);
         }
         s
-    }
-}
-
-impl TraceSink for TraceRing {
-    #[inline]
-    fn record(&mut self, t: Cycle, ev: TraceEvent) {
-        if self.depth == 0 {
-            return;
-        }
-        if self.ring.len() == self.depth {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(TraceRecord { t, ev });
-        self.recorded += 1;
     }
 }
 

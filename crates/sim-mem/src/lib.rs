@@ -11,17 +11,13 @@
 //! (the paper's §7 notes that leased variables must be allocated
 //! cache-aligned to avoid false sharing).
 //!
-//! ## Paged storage and the per-thread page pool
+//! ## Paged storage
 //!
 //! The word store is paged ([`PAGE_WORDS`] words per page) rather than one
 //! flat `Vec`: absent pages read as zero. Pages hang off a fixed-shape
-//! two-level radix of owned slots (root → chunk → page), installed on
-//! first write; the radix never reallocates. Pages released by a dropped
-//! `SimMemory` park in a per-host-thread pool and are handed (re-zeroed)
-//! to the next `SimMemory` built on that thread — so a bench sweep running
-//! thousands of grid cells on a pool of worker threads stops paying one
-//! heap allocation per page per cell. The pool is bounded
-//! (`POOL_MAX_PAGES`); overflow pages are simply freed.
+//! two-level radix of owned slots (root → chunk → page); a page is
+//! allocated zeroed on its first write and freed with its memory. The
+//! radix never reallocates.
 //!
 //! ## Snapshot/restore
 //!
@@ -39,7 +35,6 @@ pub use alloc::Allocator;
 
 use lr_sim_core::tracefmt::MemImage;
 use lr_sim_core::{Addr, LINE_SIZE};
-use std::cell::RefCell;
 
 /// Base of the simulated heap. Address 0 stays unmapped so that `Addr(0)`
 /// can serve as the null pointer.
@@ -64,9 +59,6 @@ const ROOT_SLOTS: usize = 4096;
 /// 16 GiB of simulated heap, far above any workload here.
 const CHUNK_PAGES: usize = 1024;
 
-/// Upper bound on pooled pages per host thread (4 MiB of parked pages).
-const POOL_MAX_PAGES: usize = 1024;
-
 type Page = Box<[u64; PAGE_WORDS]>;
 
 /// Middle radix level: page slots, installed on first touch.
@@ -82,38 +74,12 @@ impl Chunk {
     }
 }
 
-thread_local! {
-    /// Per-host-thread free list of released pages (see module docs).
-    static PAGE_POOL: RefCell<Vec<Page>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Take a zeroed page, preferring the calling thread's pool.
-fn take_page() -> Page {
-    PAGE_POOL.with(|p| match p.borrow_mut().pop() {
-        Some(mut page) => {
-            page.fill(0);
-            page
-        }
-        None => vec![0u64; PAGE_WORDS]
-            .into_boxed_slice()
-            .try_into()
-            .expect("page size mismatch"),
-    })
-}
-
-/// Park a page in the calling thread's pool (dropped if full).
-fn park_page(page: Page) {
-    PAGE_POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        if pool.len() < POOL_MAX_PAGES {
-            pool.push(page);
-        }
-    });
-}
-
-/// Number of pages parked in the calling thread's pool (test hook).
-pub fn pooled_pages() -> usize {
-    PAGE_POOL.with(|p| p.borrow().len())
+/// A zeroed page, straight from the allocator.
+fn zeroed_page() -> Page {
+    vec![0u64; PAGE_WORDS]
+        .into_boxed_slice()
+        .try_into()
+        .expect("page size mismatch")
 }
 
 /// Authoritative simulated memory: a paged, zero-initialized word store
@@ -139,20 +105,6 @@ impl std::fmt::Debug for SimMemory {
 impl Default for SimMemory {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Drop for SimMemory {
-    fn drop(&mut self) {
-        // Park this memory's pages for the next simulation on this host
-        // thread (a sweep cell's drop site and its successor's build
-        // site share the worker thread); the chunks are freed with the
-        // root.
-        for chunk in self.root.iter_mut().flatten() {
-            for page in chunk.pages.iter_mut().filter_map(Option::take) {
-                park_page(page);
-            }
-        }
     }
 }
 
@@ -200,7 +152,7 @@ impl SimMemory {
     fn ensure_page(&mut self, i: usize) -> &mut Page {
         let pi = i / PAGE_WORDS;
         let chunk = self.root[pi / CHUNK_PAGES].get_or_insert_with(Chunk::new);
-        chunk.pages[pi % CHUNK_PAGES].get_or_insert_with(take_page)
+        chunk.pages[pi % CHUNK_PAGES].get_or_insert_with(zeroed_page)
     }
 
     /// Read the 64-bit word at `addr` (8-byte aligned). Unwritten memory
@@ -434,23 +386,6 @@ mod tests {
         assert_ne!(a.line(), b.line());
         assert_eq!(a.line_offset(), 0);
         assert_eq!(b.line_offset(), 0);
-    }
-
-    #[test]
-    fn dropped_memory_parks_pages_for_reuse() {
-        // Drain whatever earlier tests parked so counts are exact.
-        PAGE_POOL.with(|p| p.borrow_mut().clear());
-        let mut m = SimMemory::new();
-        for i in 0..4u64 {
-            m.write_word(Addr(HEAP_BASE + i * (PAGE_WORDS as u64) * 8), i + 1);
-        }
-        drop(m);
-        assert_eq!(pooled_pages(), 4, "dropped pages were not pooled");
-        let mut m2 = SimMemory::new();
-        m2.write_word(Addr(HEAP_BASE), 9);
-        assert_eq!(pooled_pages(), 3, "new page did not come from the pool");
-        // A pooled page must arrive zeroed, not with stale contents.
-        assert_eq!(m2.read_word(Addr(HEAP_BASE + 8)), 0);
     }
 
     #[test]
